@@ -69,7 +69,6 @@ void Run() {
   CalibrationSweepConfig sweep;
   sweep.queries_per_class = 4;
   sweep.repetitions = 3;
-  sweep.scratch_path = "BENCH_calibration_scratch.bin";
   const auto samples =
       CollectCalibrationSamples(warehouse.facts, strategies, sweep)
           .ValueOrDie();

@@ -5,8 +5,8 @@
 // Two measurements:
 //
 //   1. The telemetry cost of ONE request, measured directly: everything the
-//      RequestGuard adds — a thread-local RequestContext scope, two
-//      steady-clock reads, a request-id fetch_add, a FlightRecorder::Record
+//      service's request runner adds — a thread-local RequestContext scope,
+//      two steady-clock reads, a request-id fetch_add, a FlightRecorder::Record
 //      (seqlock claim + 9 relaxed stores), an SloWindow::Record (relaxed
 //      adds + histogram bump), and two metrics-counter increments — run in
 //      a tight loop over live sinks. This is an overestimate of the real
@@ -65,9 +65,10 @@ double TelemetryNsPerRequest() {
   constexpr uint64_t kIters = 2'000'000;
   const auto bench_start = Clock::now();
   for (uint64_t i = 0; i < kIters; ++i) {
-    // Everything AdvisorService::RequestGuard adds around a request.
+    // Everything AdvisorService's request runner adds around a request.
     RequestContext ctx;
     ctx.id = next_id.fetch_add(1, std::memory_order_relaxed);
+    ctx.tenant = 0;
     ctx.verb = RequestVerb::kQuery;
     RequestContextScope scope(&ctx);
     const auto start = Clock::now();
@@ -80,18 +81,8 @@ double TelemetryNsPerRequest() {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             Clock::now().time_since_epoch())
             .count());
-    RequestRecord rec;
-    rec.id = ctx.id;
-    rec.tenant = 0;
-    rec.verb = ctx.verb;
-    rec.status = ctx.status;
-    rec.enqueue_ns = ctx.enqueue_ns;
-    rec.start_ns = ctx.start_ns;
-    rec.finish_ns = ctx.finish_ns;
-    rec.pages = ctx.pages;
-    rec.partitions_pruned = ctx.partitions_pruned;
-    recorder.Record(rec);
-    slo.Record(rec.verb, rec.compute_ns(), /*error=*/false);
+    recorder.Record(ctx);
+    slo.Record(ctx.verb, ctx.compute_ns(), /*error=*/false);
     completed->Inc();
     if (false) errors->Inc();
   }

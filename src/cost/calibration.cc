@@ -1,8 +1,12 @@
 #include "cost/calibration.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <utility>
 
@@ -21,6 +25,29 @@ std::string JsonNumber(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
+
+/// Owns the sweep's scratch file: resolves the default path (unique per
+/// process and sweep, so concurrent sweeps never share a file) and removes
+/// the file on every exit path of the sweep.
+class ScratchFile {
+ public:
+  explicit ScratchFile(const std::string& path) : path_(path) {
+    if (!path_.empty()) return;
+    static std::atomic<uint64_t> next{0};
+    std::error_code ec;  // no temp directory: the working directory
+    path_ = std::filesystem::temp_directory_path(ec) /
+            ("snakes_calibration_scratch." + std::to_string(getpid()) + "." +
+             std::to_string(next.fetch_add(1)) + ".bin");
+  }
+  ~ScratchFile() { std::remove(path_.c_str()); }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Median of a (destructively sorted) non-empty vector.
 double Median(std::vector<double>* values) {
@@ -142,6 +169,7 @@ Result<std::vector<CalibrationSample>> CollectCalibrationSamples(
   const StarSchema& schema = facts->schema();
   const QueryClassLattice lattice(schema);
   Rng rng(config.seed);
+  const ScratchFile scratch(config.scratch_path);
 
   std::vector<CalibrationSample> samples;
   for (const std::shared_ptr<const Linearization>& lin : strategies) {
@@ -154,7 +182,7 @@ Result<std::vector<CalibrationSample>> CollectCalibrationSamples(
         PackedLayout::Pack(lin, facts, config.storage));
     auto layout = std::make_shared<const PackedLayout>(std::move(packed));
     SNAKES_ASSIGN_OR_RETURN(FileStore store,
-                            FileStore::Create(config.scratch_path, layout));
+                            FileStore::Create(scratch.path(), layout));
     for (const StorageBackendKind kind : config.backends) {
       SNAKES_ASSIGN_OR_RETURN(
           std::shared_ptr<const StorageBackend> backend,

@@ -42,8 +42,10 @@ struct CalibrationSweepConfig {
   /// noise floor estimator for in-memory-cached reads).
   int repetitions = 3;
   uint64_t seed = 19990601;
-  /// Scratch file each strategy's PackedLayout is serialized into.
-  std::string scratch_path = "snakes_calibration_scratch.bin";
+  /// Scratch file each strategy's PackedLayout is serialized into; removed
+  /// when the sweep returns. Empty = a per-process file in the system temp
+  /// directory.
+  std::string scratch_path;
 };
 
 /// Sweeps every (strategy, backend, lattice class) triple: serializes the

@@ -102,7 +102,6 @@ double MeasureExpectedCostCached(const Workload& mu, const Linearization& lin,
         entry->queries[j] = table.NumQueries(cls);
         entry->known[j] = 1;
       }
-      entry->full_table = true;
       if (obs.metrics != nullptr) {
         obs.metrics->GetCounter("cost.cells_scanned")->Inc(lin.num_cells());
       }

@@ -50,8 +50,6 @@ class ClassCostCache {
     std::vector<uint64_t> fragments;
     std::vector<uint64_t> queries;
     std::vector<char> known;
-    /// Set once an edge-walk pass filled every class at once.
-    bool full_table = false;
   };
 
   ClassCostCache() = default;

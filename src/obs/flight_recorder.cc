@@ -38,21 +38,6 @@ RequestRecord Unpack(const uint64_t w[9]) {
 
 }  // namespace
 
-std::string RequestRecord::ToJson() const {
-  std::string out = "{\"id\": " + std::to_string(id);
-  out += ", \"tenant\": ";
-  out += tenant == kNoTenant ? std::string("null") : std::to_string(tenant);
-  out += ", \"verb\": \"" + std::string(RequestVerbName(verb)) + "\"";
-  out += ", \"status\": \"" + std::string(StatusCodeName(status)) + "\"";
-  out += ", \"enqueue_ns\": " + std::to_string(enqueue_ns);
-  out += ", \"queue_ns\": " + std::to_string(queue_ns());
-  out += ", \"compute_ns\": " + std::to_string(compute_ns());
-  out += ", \"pages\": " + std::to_string(pages);
-  out += ", \"partitions_pruned\": " + std::to_string(partitions_pruned);
-  out += "}";
-  return out;
-}
-
 FlightRecorder::FlightRecorder(size_t capacity)
     : slots_(capacity == 0 ? 1 : capacity) {}
 

@@ -13,32 +13,6 @@
 
 namespace snakes {
 
-/// One completed request, condensed to plain integers so a record fits in a
-/// handful of atomic words: who (tenant), what (verb), when (enqueue/start/
-/// finish on the service's epoch clock), how it ended (status), and what it
-/// touched (pages, partitions pruned).
-struct RequestRecord {
-  uint64_t id = 0;
-  uint64_t tenant = kNoTenant;
-  RequestVerb verb = RequestVerb::kUnknown;
-  StatusCode status = StatusCode::kOk;
-  uint64_t enqueue_ns = 0;
-  uint64_t start_ns = 0;
-  uint64_t finish_ns = 0;
-  uint64_t pages = 0;
-  uint64_t partitions_pruned = 0;
-
-  uint64_t queue_ns() const {
-    return start_ns >= enqueue_ns ? start_ns - enqueue_ns : 0;
-  }
-  uint64_t compute_ns() const {
-    return finish_ns >= start_ns ? finish_ns - start_ns : 0;
-  }
-
-  /// One-line JSON object ({"id": .., "tenant": .., ...}).
-  std::string ToJson() const;
-};
-
 /// Always-on, fixed-capacity ring buffer of the last `capacity` completed
 /// RequestRecords — the "flight recorder" a production incident is debugged
 /// from. Designed to stay enabled under full traffic:

@@ -37,18 +37,26 @@ const char* RequestVerbName(RequestVerb verb) {
 }
 
 RequestVerb ParseRequestVerb(std::string_view verb) {
-  if (verb == "ingest") return RequestVerb::kIngest;
-  if (verb == "end-epoch") return RequestVerb::kEndEpoch;
-  if (verb == "advise") return RequestVerb::kAdvise;
-  if (verb == "query") return RequestVerb::kQuery;
-  if (verb == "measure") return RequestVerb::kMeasure;
-  if (verb == "recluster") return RequestVerb::kRecluster;
-  if (verb == "backend") return RequestVerb::kBackend;
-  if (verb == "status") return RequestVerb::kStatus;
-  if (verb == "register") return RequestVerb::kRegister;
-  if (verb == "telemetry") return RequestVerb::kTelemetry;
-  if (verb == "costmodel") return RequestVerb::kCostModel;
+  for (int v = 0; v < kNumRequestVerbs; ++v) {
+    const auto candidate = static_cast<RequestVerb>(v);
+    if (verb == RequestVerbName(candidate)) return candidate;
+  }
   return RequestVerb::kUnknown;
+}
+
+std::string RequestRecord::ToJson() const {
+  std::string out = "{\"id\": " + std::to_string(id);
+  out += ", \"tenant\": ";
+  out += tenant == kNoTenant ? std::string("null") : std::to_string(tenant);
+  out += ", \"verb\": \"" + std::string(RequestVerbName(verb)) + "\"";
+  out += ", \"status\": \"" + std::string(StatusCodeName(status)) + "\"";
+  out += ", \"enqueue_ns\": " + std::to_string(enqueue_ns);
+  out += ", \"queue_ns\": " + std::to_string(queue_ns());
+  out += ", \"compute_ns\": " + std::to_string(compute_ns());
+  out += ", \"pages\": " + std::to_string(pages);
+  out += ", \"partitions_pruned\": " + std::to_string(partitions_pruned);
+  out += "}";
+  return out;
 }
 
 RequestContext* RequestContext::Current() { return tls_current_request; }

@@ -2,6 +2,7 @@
 #define SNAKES_OBS_REQUEST_CONTEXT_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "util/status.h"
@@ -40,25 +41,40 @@ RequestVerb ParseRequestVerb(std::string_view verb);
 /// names, registration failures).
 inline constexpr uint64_t kNoTenant = UINT64_MAX;
 
-/// One in-flight request: a monotonic id, the tenant and verb it serves,
-/// its enqueue/start/finish timestamps (nanoseconds on the owning service's
-/// epoch clock), the result status, and the I/O it touched. The serving
-/// layer stacks the active context in a thread-local (RequestContextScope),
-/// so instrumentation deep in the library — ScopedSpan in particular — can
-/// attribute work to a real request id without any parameter plumbing:
-/// every span recorded while a context is active carries an "rid" arg, which
-/// is what nests advisor/storage spans under the request in a Chrome trace.
-struct RequestContext {
+/// One completed request, condensed to plain integers so a record fits in a
+/// handful of atomic words: who (tenant), what (verb), when (enqueue/start/
+/// finish on the service's epoch clock), how it ended (status), and what it
+/// touched (pages, partitions pruned).
+struct RequestRecord {
   uint64_t id = 0;
   uint64_t tenant = kNoTenant;
   RequestVerb verb = RequestVerb::kUnknown;
-  uint64_t enqueue_ns = 0;  // submit time (== start_ns for sync calls)
-  uint64_t start_ns = 0;    // when the handler began computing
-  uint64_t finish_ns = 0;   // when the handler returned
   StatusCode status = StatusCode::kOk;
-  uint64_t pages = 0;              // pages the request touched
-  uint64_t partitions_pruned = 0;  // partitions zone maps skipped
+  uint64_t enqueue_ns = 0;
+  uint64_t start_ns = 0;
+  uint64_t finish_ns = 0;
+  uint64_t pages = 0;
+  uint64_t partitions_pruned = 0;
 
+  uint64_t queue_ns() const {
+    return start_ns >= enqueue_ns ? start_ns - enqueue_ns : 0;
+  }
+  uint64_t compute_ns() const {
+    return finish_ns >= start_ns ? finish_ns - start_ns : 0;
+  }
+
+  /// One-line JSON object ({"id": .., "tenant": .., ...}).
+  std::string ToJson() const;
+};
+
+/// One in-flight request: the record it completes as, filled in while it
+/// runs (enqueue_ns equals start_ns for sync calls). The serving layer stacks
+/// the active context in a thread-local (RequestContextScope), so
+/// instrumentation deep in the library — ScopedSpan in particular — can
+/// attribute work to a real request id without any parameter plumbing:
+/// every span recorded while a context is active carries an "rid" arg, which
+/// is what nests advisor/storage spans under the request in a Chrome trace.
+struct RequestContext : RequestRecord {
   /// The innermost active context on this thread; null outside any request.
   /// Nested handlers (a Dispatch verb calling the sync surface) see the
   /// outermost request they serve — scopes stack.

@@ -47,7 +47,6 @@ struct ReclusterConfig {
   std::vector<std::string> strategies;
   /// Threads for the advisor's evaluation engine (0 = hardware).
   int num_threads = 1;
-  CostEvalMode cost_mode = CostEvalMode::kAuto;
   StorageConfig storage;
   /// Storage representation the engine packs adopted layouts into.
   StorageBackendKind backend = StorageBackendKind::kPacked;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <type_traits>
 #include <utility>
 
 #include "lattice/lattice.h"
@@ -22,14 +23,29 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// Hand-off from SubmitInstrumented to the RequestGuard the task body
-/// constructs: the enqueue timestamp (service clock) of the request this
-/// pool thread is about to run, 0 when the running request was not batched.
+/// Hand-off from SubmitInstrumented to the request the task body starts: the
+/// enqueue timestamp (service clock) of the request this pool thread is about
+/// to run, 0 when the running request was not batched.
 thread_local uint64_t tls_pending_enqueue_ns = 0;
 
 /// Attributes the innermost active request to `id` (no-op outside one).
 void TagRequestTenant(TenantId id) {
   if (RequestContext* ctx = RequestContext::Current()) ctx->tenant = id;
+}
+
+/// Charges the I/O of a served query to the active request.
+void ChargeRequest(uint64_t pages, const PruneStats& prune) {
+  if (RequestContext* ctx = RequestContext::Current()) {
+    ctx->pages += pages;
+    ctx->partitions_pruned += prune.pruned;
+  }
+}
+
+/// The status a verb's result reports as the request's outcome.
+const Status& OutcomeOf(const Status& status) { return status; }
+template <typename T>
+const Status& OutcomeOf(const Result<T>& result) {
+  return result.status();
 }
 
 /// Typed requests bypass the parser, so the service re-checks the geometry
@@ -60,6 +76,18 @@ Status ValidateQuery(const StarSchema& schema, const GridQuery& query) {
     }
   }
   return Status::OK();
+}
+
+/// Admission of verbs that accept every request against a resolved tenant.
+constexpr auto kAdmitAll = [](const auto*, ScopedSpan&) {
+  return Status::OK();
+};
+
+/// Admission of the typed query verbs: only geometry-valid queries count.
+auto AdmitQuery(const GridQuery& query) {
+  return [&query](const auto* tenant, ScopedSpan&) {
+    return ValidateQuery(*tenant->schema, query);
+  };
 }
 
 std::string_view TrimWhitespace(std::string_view s) {
@@ -150,84 +178,6 @@ struct AdvisorService::Tenant {
   Counter* requests_counter = nullptr;
   Counter* ingested_counter = nullptr;
   Counter* reclusters_counter = nullptr;
-
-  void CountRequest() const {
-    if (requests_counter != nullptr) requests_counter->Inc();
-  }
-};
-
-class AdvisorService::RequestGuard {
- public:
-  RequestGuard(AdvisorService* service, RequestVerb verb)
-      : service_(service),
-        owner_(RequestContext::Current() == nullptr),
-        ctx_(MakeContext(service, verb, owner_)),
-        scope_(owner_ ? &ctx_ : nullptr),
-        span_(owner_ ? service->config_.obs.tracer : nullptr,
-              std::string("request/") + RequestVerbName(verb), "request") {}
-
-  RequestGuard(const RequestGuard&) = delete;
-  RequestGuard& operator=(const RequestGuard&) = delete;
-
-  /// Stamps the handler's outcome on the innermost request. Nested guards
-  /// write too, but the owner wraps them and writes last, so the recorded
-  /// status is the one the caller saw.
-  void Finish(const Status& status) {
-    if (RequestContext* ctx = RequestContext::Current()) {
-      ctx->status = status.code();
-    }
-  }
-
-  ~RequestGuard() {
-    if (!owner_) return;
-    ctx_.finish_ns = service_->NowNs();
-    RequestRecord record;
-    record.id = ctx_.id;
-    record.tenant = ctx_.tenant;
-    record.verb = ctx_.verb;
-    record.status = ctx_.status;
-    record.enqueue_ns = ctx_.enqueue_ns;
-    record.start_ns = ctx_.start_ns;
-    record.finish_ns = ctx_.finish_ns;
-    record.pages = ctx_.pages;
-    record.partitions_pruned = ctx_.partitions_pruned;
-    service_->recorder_.Record(record);
-    if (ctx_.tenant != kNoTenant) {
-      const Result<Tenant*> tenant = service_->Find(ctx_.tenant);
-      if (tenant.ok()) {
-        tenant.value()->slo.Record(ctx_.verb, record.compute_ns(),
-                                   ctx_.status != StatusCode::kOk);
-      }
-    }
-    if (service_->requests_completed_ != nullptr) {
-      service_->requests_completed_->Inc();
-      if (ctx_.status != StatusCode::kOk) service_->requests_errors_->Inc();
-    }
-  }
-
- private:
-  static RequestContext MakeContext(AdvisorService* service, RequestVerb verb,
-                                    bool owner) {
-    RequestContext ctx;
-    if (!owner) return ctx;
-    ctx.id = service->next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    ctx.verb = verb;
-    ctx.start_ns = service->NowNs();
-    // A batched request left its submit time in the thread-local; a direct
-    // sync call was never queued, so enqueue == start.
-    ctx.enqueue_ns =
-        tls_pending_enqueue_ns != 0 ? tls_pending_enqueue_ns : ctx.start_ns;
-    tls_pending_enqueue_ns = 0;
-    return ctx;
-  }
-
-  AdvisorService* service_;
-  const bool owner_;
-  RequestContext ctx_;
-  // Order matters: the scope must be active before the span opens (the span
-  // reads Current() for its "rid" arg) and must outlive it.
-  RequestContextScope scope_;
-  ScopedSpan span_;
 };
 
 AdvisorService::AdvisorService(ServiceConfig config)
@@ -311,6 +261,7 @@ Result<AdvisorService::Tenant*> AdvisorService::Find(TenantId id) const {
   if (id >= tenants_.size()) {
     return Status::NotFound("no tenant with id " + std::to_string(id));
   }
+  TagRequestTenant(id);
   return tenants_[id].get();
 }
 
@@ -328,86 +279,140 @@ uint64_t AdvisorService::num_tenants() const {
   return tenants_.size();
 }
 
-Result<TenantId> AdvisorService::RegisterTenant(TenantSpec spec) {
-  RequestGuard guard(this, RequestVerb::kRegister);
-  Result<TenantId> out = RegisterTenantImpl(std::move(spec));
-  guard.Finish(out.status());
+// ---- The request path ---------------------------------------------------
+
+template <typename Fn>
+auto AdvisorService::RunRequest(RequestVerb verb, Fn&& fn) {
+  // A request made while serving another (a Dispatch verb calling the typed
+  // surface) is part of the outer request, which owns the record.
+  if (RequestContext::Current() != nullptr) return fn();
+  RequestContext ctx;
+  ctx.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  ctx.verb = verb;
+  ctx.start_ns = NowNs();
+  // A batched request left its submit time in the thread-local; a direct
+  // sync call was never queued, so enqueue == start.
+  ctx.enqueue_ns = std::exchange(tls_pending_enqueue_ns, 0);
+  if (ctx.enqueue_ns == 0) ctx.enqueue_ns = ctx.start_ns;
+  auto out = [&] {
+    // The context must be current before the span opens (the span reads it
+    // for its "rid" arg) and must outlive it.
+    const RequestContextScope scope(&ctx);
+    const ScopedSpan span(config_.obs.tracer,
+                          std::string("request/") + RequestVerbName(verb),
+                          "request");
+    return fn();
+  }();
+  ctx.status = OutcomeOf(out).code();
+  ctx.finish_ns = NowNs();
+  recorder_.Record(ctx);
+  if (ctx.tenant != kNoTenant) {
+    const Result<Tenant*> tenant = Find(ctx.tenant);
+    if (tenant.ok()) {
+      tenant.value()->slo.Record(ctx.verb, ctx.compute_ns(),
+                                 ctx.status != StatusCode::kOk);
+    }
+  }
+  if (requests_completed_ != nullptr) {
+    requests_completed_->Inc();
+    if (ctx.status != StatusCode::kOk) requests_errors_->Inc();
+  }
   return out;
 }
 
-Result<TenantId> AdvisorService::RegisterTenantImpl(TenantSpec spec) {
-  ScopedSpan span(config_.obs.tracer, "service/register", "service");
-  if (spec.name.empty()) {
-    return Status::InvalidArgument("tenant name must be non-empty");
-  }
-  if (spec.schema == nullptr) {
-    return Status::InvalidArgument("tenant schema must be non-null");
-  }
-  if (spec.facts != nullptr && &spec.facts->schema() != spec.schema.get()) {
-    return Status::InvalidArgument(
-        "tenant fact table belongs to a different schema");
-  }
-  if (!spec.tables.empty() &&
-      spec.tables.size() != static_cast<size_t>(spec.schema->num_dims())) {
-    return Status::InvalidArgument(
-        "tenant needs one dimension table per schema dimension (got " +
-        std::to_string(spec.tables.size()) + " for " +
-        std::to_string(spec.schema->num_dims()) + " dims)");
-  }
-  span.AddArg("tenant", spec.name);
+template <typename Admit, typename Body>
+auto AdvisorService::RunVerb(RequestVerb verb, TenantId id,
+                             const char* span_name, Admit&& admit,
+                             Body&& body) {
+  using R = std::invoke_result_t<Body&, Tenant*, ScopedSpan&>;
+  return RunRequest(verb, [&]() -> R {
+    SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
+    ScopedSpan span(config_.obs.tracer, span_name, "service");
+    SNAKES_RETURN_IF_ERROR(admit(tenant, span));
+    if (tenant->requests_counter != nullptr) tenant->requests_counter->Inc();
+    return body(tenant, span);
+  });
+}
 
-  ReclusterConfig engine_config = config_.recluster;
-  engine_config.storage = config_.storage;
-  engine_config.backend = spec.backend;
-  engine_config.obs = config_.obs;
-  SNAKES_ASSIGN_OR_RETURN(engine_config.cost_model,
-                          MakeCostModel(spec.cost_model));
-  span.AddArg("cost_model", engine_config.cost_model->name());
+Result<TenantId> AdvisorService::RegisterTenant(TenantSpec spec) {
+  return RunRequest(RequestVerb::kRegister, [&]() -> Result<TenantId> {
+    ScopedSpan span(config_.obs.tracer, "service/register", "service");
+    if (spec.name.empty()) {
+      return Status::InvalidArgument("tenant name must be non-empty");
+    }
+    if (spec.schema == nullptr) {
+      return Status::InvalidArgument("tenant schema must be non-null");
+    }
+    if (spec.facts != nullptr && &spec.facts->schema() != spec.schema.get()) {
+      return Status::InvalidArgument(
+          "tenant fact table belongs to a different schema");
+    }
+    if (!spec.tables.empty() &&
+        spec.tables.size() != static_cast<size_t>(spec.schema->num_dims())) {
+      return Status::InvalidArgument(
+          "tenant needs one dimension table per schema dimension (got " +
+          std::to_string(spec.tables.size()) + " for " +
+          std::to_string(spec.schema->num_dims()) + " dims)");
+    }
+    // A taken name is rejected before any advise or pack work, and again at
+    // insert, where a concurrent registration of the same name can land.
+    const Status name_taken = Status::InvalidArgument(
+        "tenant '" + spec.name + "' is already registered");
+    if (FindTenant(spec.name).ok()) return name_taken;
+    span.AddArg("tenant", spec.name);
 
-  const QueryClassLattice lattice(*spec.schema);
-  Workload initial = spec.initial_workload.has_value()
-                         ? *spec.initial_workload
-                         : Workload::Uniform(lattice);
-  if (initial.size() != lattice.size()) {
-    return Status::InvalidArgument(
-        "initial workload lattice does not match the tenant schema");
-  }
+    ReclusterConfig engine_config = config_.recluster;
+    engine_config.storage = config_.storage;
+    engine_config.backend = spec.backend;
+    engine_config.obs = config_.obs;
+    SNAKES_ASSIGN_OR_RETURN(engine_config.cost_model,
+                            MakeCostModel(spec.cost_model));
+    span.AddArg("cost_model", engine_config.cost_model->name());
 
-  auto tenant = std::make_unique<Tenant>(0, std::move(spec), engine_config,
-                                         config_.window_epochs,
-                                         config_.telemetry.slo_buckets);
-  Tenant* t = tenant.get();
-  SNAKES_RETURN_IF_ERROR(t->window.Observe(initial));
+    const QueryClassLattice lattice(*spec.schema);
+    Workload initial = spec.initial_workload.has_value()
+                           ? *spec.initial_workload
+                           : Workload::Uniform(lattice);
+    if (initial.size() != lattice.size()) {
+      return Status::InvalidArgument(
+          "initial workload lattice does not match the tenant schema");
+    }
 
-  // Advise + pack + publish epoch 1 before the tenant becomes visible, so a
-  // registered tenant always serves from a live epoch.
-  EpochReport initial_report;
-  {
-    std::lock_guard<std::mutex> lock(t->recluster_mu);
-    SNAKES_ASSIGN_OR_RETURN(initial_report, t->engine.OnEpoch(initial));
-    Publish(t, t->engine.current(), t->engine.current_backend());
-  }
+    auto tenant = std::make_unique<Tenant>(0, std::move(spec), engine_config,
+                                           config_.window_epochs,
+                                           config_.telemetry.slo_buckets);
+    Tenant* t = tenant.get();
+    SNAKES_RETURN_IF_ERROR(t->window.Observe(initial));
 
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  if (by_name_.count(t->name) > 0) {
-    return Status::InvalidArgument("tenant '" + t->name +
-                                   "' is already registered");
-  }
-  const TenantId id = tenants_.size();
-  t->id = id;
-  TagRequestTenant(id);
-  AuditDecision(t, initial_report);
-  if (config_.obs.metrics != nullptr) {
-    const std::string prefix = "service.tenant." + t->name;
-    t->requests_counter = config_.obs.metrics->GetCounter(prefix + ".requests");
-    t->ingested_counter = config_.obs.metrics->GetCounter(prefix + ".ingested");
-    t->reclusters_counter =
-        config_.obs.metrics->GetCounter(prefix + ".reclusters");
-    config_.obs.metrics->GetCounter("service.tenants")->Inc();
-  }
-  by_name_.emplace(t->name, id);
-  tenants_.push_back(std::move(tenant));
-  return id;
+    // Advise + pack + publish epoch 1 before the tenant becomes visible, so a
+    // registered tenant always serves from a live epoch.
+    EpochReport initial_report;
+    {
+      std::lock_guard<std::mutex> lock(t->recluster_mu);
+      SNAKES_ASSIGN_OR_RETURN(initial_report, t->engine.OnEpoch(initial));
+      Publish(t, t->engine.current(), t->engine.current_backend());
+    }
+
+    std::lock_guard<std::mutex> lock(tenants_mu_);
+    if (by_name_.count(t->name) > 0) return name_taken;
+    const TenantId id = tenants_.size();
+    t->id = id;
+    TagRequestTenant(id);
+    AuditDecision(t, initial_report);
+    if (config_.obs.metrics != nullptr) {
+      const std::string prefix = "service.tenant." + t->name;
+      t->requests_counter =
+          config_.obs.metrics->GetCounter(prefix + ".requests");
+      t->ingested_counter =
+          config_.obs.metrics->GetCounter(prefix + ".ingested");
+      t->reclusters_counter =
+          config_.obs.metrics->GetCounter(prefix + ".reclusters");
+      config_.obs.metrics->GetCounter("service.tenants")->Inc();
+    }
+    by_name_.emplace(t->name, id);
+    tenants_.push_back(std::move(tenant));
+    return id;
+  });
 }
 
 void AdvisorService::AuditDecision(const Tenant* tenant,
@@ -469,6 +474,17 @@ Result<std::shared_ptr<const TenantEpoch>> AdvisorService::PinEpoch(
   return pinned;
 }
 
+Result<std::shared_ptr<const TenantEpoch>> AdvisorService::PinStorage(
+    const Tenant* tenant) const {
+  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
+                          PinEpoch(tenant->id));
+  if (epoch->backend == nullptr) {
+    return Status::FailedPrecondition("tenant '" + tenant->name +
+                                      "' is analytic (no fact table)");
+  }
+  return epoch;
+}
+
 Result<Workload> AdvisorService::SmoothedWorkload(TenantId id) const {
   SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
   std::lock_guard<std::mutex> lock(tenant->state_mu);
@@ -476,37 +492,30 @@ Result<Workload> AdvisorService::SmoothedWorkload(TenantId id) const {
 }
 
 Status AdvisorService::Ingest(TenantId id, const GridQuery& query) {
-  RequestGuard guard(this, RequestVerb::kIngest);
-  const Status out = IngestImpl(id, query);
-  guard.Finish(out);
-  return out;
+  return RunVerb(
+      RequestVerb::kIngest, id, "service/ingest", AdmitQuery(query),
+      [&](Tenant* tenant, ScopedSpan&) -> Status {
+        if (tenant->ingested_counter != nullptr) {
+          tenant->ingested_counter->Inc();
+        }
+        bool closed = false;
+        {
+          std::lock_guard<std::mutex> lock(tenant->state_mu);
+          tenant->pending[tenant->lattice.Index(query.cls)] += 1.0;
+          ++tenant->pending_ingests;
+          ++tenant->ingested_total;
+          if (config_.ingests_per_epoch > 0 &&
+              tenant->pending_ingests >= config_.ingests_per_epoch) {
+            SNAKES_RETURN_IF_ERROR(CloseEpochLocked(tenant));
+            closed = true;
+          }
+        }
+        if (closed) MaybeScheduleRecluster(tenant);
+        return Status::OK();
+      });
 }
 
-Status AdvisorService::IngestImpl(TenantId id, const GridQuery& query) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/ingest", "service");
-  SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, query));
-  tenant->CountRequest();
-  if (tenant->ingested_counter != nullptr) tenant->ingested_counter->Inc();
-  bool closed = false;
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    tenant->pending[tenant->lattice.Index(query.cls)] += 1.0;
-    ++tenant->pending_ingests;
-    ++tenant->ingested_total;
-    if (config_.ingests_per_epoch > 0 &&
-        tenant->pending_ingests >= config_.ingests_per_epoch) {
-      const Result<Workload> closed_epoch = CloseEpochLocked(tenant);
-      if (!closed_epoch.ok()) return closed_epoch.status();
-      closed = true;
-    }
-  }
-  if (closed) MaybeScheduleRecluster(id);
-  return Status::OK();
-}
-
-Result<Workload> AdvisorService::CloseEpochLocked(Tenant* tenant) {
+Status AdvisorService::CloseEpochLocked(Tenant* tenant) {
   if (tenant->pending_ingests == 0) {
     return Status::FailedPrecondition(
         "tenant '" + tenant->name +
@@ -525,68 +534,54 @@ Result<Workload> AdvisorService::CloseEpochLocked(Tenant* tenant) {
     config_.obs.metrics->GetGauge("service.window.last_drift")
         ->Set(tenant->window.LastDrift());
   }
-  return epoch_mu_w;
+  return Status::OK();
 }
 
 Result<uint64_t> AdvisorService::EndEpoch(TenantId id) {
-  RequestGuard guard(this, RequestVerb::kEndEpoch);
-  Result<uint64_t> out = EndEpochImpl(id);
-  guard.Finish(out.status());
-  return out;
+  return RunVerb(
+      RequestVerb::kEndEpoch, id, "service/end_epoch", kAdmitAll,
+      [&](Tenant* tenant, ScopedSpan&) -> Result<uint64_t> {
+        uint64_t closed = 0;
+        {
+          std::lock_guard<std::mutex> lock(tenant->state_mu);
+          SNAKES_RETURN_IF_ERROR(CloseEpochLocked(tenant));
+          closed = tenant->epochs_closed;
+        }
+        MaybeScheduleRecluster(tenant);
+        return closed;
+      });
 }
 
-Result<uint64_t> AdvisorService::EndEpochImpl(TenantId id) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/end_epoch", "service");
-  tenant->CountRequest();
-  uint64_t closed_count = 0;
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    const Result<Workload> closed_epoch = CloseEpochLocked(tenant);
-    if (!closed_epoch.ok()) return closed_epoch.status();
-    closed_count = tenant->epochs_closed;
-  }
-  MaybeScheduleRecluster(id);
-  return closed_count;
-}
-
-void AdvisorService::MaybeScheduleRecluster(TenantId id) {
+void AdvisorService::MaybeScheduleRecluster(Tenant* tenant) {
   if (!config_.recluster_on_epoch_close) return;
   MetricsRegistry* metrics = config_.obs.metrics;
+  const TenantId id = tenant->id;
   auto submitted = background_pool_->TrySubmit([this, id, metrics]() {
     // The background job is a request of its own: it gets the next id, its
     // spans nest under "request/recluster", and its completion lands in the
-    // flight recorder like any foreground request.
-    RequestGuard guard(this, RequestVerb::kRecluster);
-    auto tenant = Find(id);
-    if (!tenant.ok()) {
-      guard.Finish(tenant.status());
-      return;
-    }
-    TagRequestTenant(id);
-    const auto report = RunRecluster(tenant.value());
-    guard.Finish(report.status());
-    tenant.value()->reclusters_completed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    if (!report.ok() && metrics != nullptr) {
-      metrics->GetCounter("service.recluster.errors")->Inc();
-    }
+    // flight recorder like any foreground request. It is not a tenant
+    // request, so it does not count against service.tenant.<name>.requests.
+    RunRequest(RequestVerb::kRecluster, [&]() -> Result<EpochReport> {
+      SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
+      ScopedSpan span(config_.obs.tracer, "service/recluster", "service");
+      Result<EpochReport> report = RunRecluster(tenant, &span);
+      tenant->reclusters_completed.fetch_add(1, std::memory_order_relaxed);
+      if (!report.ok() && metrics != nullptr) {
+        metrics->GetCounter("service.recluster.errors")->Inc();
+      }
+      return report;
+    });
   });
   if (submitted.ok()) {
-    const auto tenant = Find(id);
-    if (tenant.ok()) {
-      tenant.value()->reclusters_scheduled.fetch_add(
-          1, std::memory_order_relaxed);
-    }
+    tenant->reclusters_scheduled.fetch_add(1, std::memory_order_relaxed);
   } else if (metrics != nullptr) {
     metrics->GetCounter("service.recluster.rejected")->Inc();
   }
 }
 
-Result<EpochReport> AdvisorService::RunRecluster(Tenant* tenant) {
-  ScopedSpan span(config_.obs.tracer, "service/recluster", "service");
-  span.AddArg("tenant", tenant->name);
+Result<EpochReport> AdvisorService::RunRecluster(Tenant* tenant,
+                                                 ScopedSpan* span) {
+  span->AddArg("tenant", tenant->name);
   if (tenant->reclusters_counter != nullptr) tenant->reclusters_counter->Inc();
   Workload mu = [&] {
     std::lock_guard<std::mutex> lock(tenant->state_mu);
@@ -606,166 +601,110 @@ Result<EpochReport> AdvisorService::RunRecluster(Tenant* tenant) {
 }
 
 Result<EpochReport> AdvisorService::ReclusterNow(TenantId id) {
-  RequestGuard guard(this, RequestVerb::kRecluster);
-  Result<EpochReport> out = ReclusterNowImpl(id);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<EpochReport> AdvisorService::ReclusterNowImpl(TenantId id) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  tenant->CountRequest();
-  return RunRecluster(tenant);
+  return RunVerb(
+      RequestVerb::kRecluster, id, "service/recluster", kAdmitAll,
+      [&](Tenant* tenant, ScopedSpan& span) {
+        return RunRecluster(tenant, &span);
+      });
 }
 
 Status AdvisorService::SetBackend(TenantId id, StorageBackendKind kind) {
-  RequestGuard guard(this, RequestVerb::kBackend);
-  const Status out = SetBackendImpl(id, kind);
-  guard.Finish(out);
-  return out;
-}
-
-Status AdvisorService::SetBackendImpl(TenantId id, StorageBackendKind kind) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/set_backend", "service");
-  span.AddArg("tenant", tenant->name);
-  span.AddArg("backend", StorageBackendKindName(kind));
-  tenant->CountRequest();
-  std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-  if (tenant->engine.backend_kind() == kind) return Status::OK();
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const StorageBackend> backend,
-                          tenant->engine.SwitchBackend(kind));
-  if (tenant->engine.current() != nullptr) {
-    // Analytic tenants publish a null backend either way; fact-backed ones
-    // double-buffer the repacked representation exactly like an adoption.
-    Publish(tenant, tenant->engine.current(), std::move(backend));
-  }
-  return Status::OK();
+  return RunVerb(
+      RequestVerb::kBackend, id, "service/set_backend", kAdmitAll,
+      [&](Tenant* tenant, ScopedSpan& span) -> Status {
+        span.AddArg("tenant", tenant->name);
+        span.AddArg("backend", StorageBackendKindName(kind));
+        std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+        if (tenant->engine.backend_kind() == kind) return Status::OK();
+        SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const StorageBackend> backend,
+                                tenant->engine.SwitchBackend(kind));
+        if (tenant->engine.current() != nullptr) {
+          // Analytic tenants publish a null backend either way; fact-backed
+          // ones double-buffer the repacked representation exactly like an
+          // adoption.
+          Publish(tenant, tenant->engine.current(), std::move(backend));
+        }
+        return Status::OK();
+      });
 }
 
 Status AdvisorService::SetCostModel(TenantId id, const CostModelSpec& spec) {
-  RequestGuard guard(this, RequestVerb::kCostModel);
-  const Status out = SetCostModelImpl(id, spec);
-  guard.Finish(out);
-  return out;
-}
-
-Status AdvisorService::SetCostModelImpl(TenantId id,
-                                        const CostModelSpec& spec) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/set_cost_model", "service");
-  span.AddArg("tenant", tenant->name);
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const CostModel> model,
-                          MakeCostModel(spec));
-  span.AddArg("cost_model", model->name());
-  tenant->CountRequest();
-  // Two consumers, two locks: the advise path reads under state_mu, the
-  // engine prices net benefit under recluster_mu. No cache is invalidated —
-  // per-class costs are model-independent, so the next warm advise still
-  // serves from the memo.
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    tenant->cost_model = model;
-  }
-  {
-    std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-    tenant->engine.SetCostModel(model);
-  }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->GetCounter("service.costmodel_switches")->Inc();
-  }
-  return Status::OK();
+  // Only a spec that builds a model counts as a request of the tenant.
+  std::shared_ptr<const CostModel> model;
+  const auto admit = [&](const Tenant* tenant, ScopedSpan& span) -> Status {
+    span.AddArg("tenant", tenant->name);
+    SNAKES_ASSIGN_OR_RETURN(model, MakeCostModel(spec));
+    span.AddArg("cost_model", model->name());
+    return Status::OK();
+  };
+  return RunVerb(
+      RequestVerb::kCostModel, id, "service/set_cost_model", admit,
+      [&](Tenant* tenant, ScopedSpan&) -> Status {
+        // Two consumers, two locks: the advise path reads under state_mu,
+        // the engine prices net benefit under recluster_mu. No cache is
+        // invalidated — per-class costs are model-independent, so the next
+        // warm advise still serves from the memo.
+        {
+          std::lock_guard<std::mutex> lock(tenant->state_mu);
+          tenant->cost_model = model;
+        }
+        {
+          std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+          tenant->engine.SetCostModel(model);
+        }
+        if (config_.obs.metrics != nullptr) {
+          config_.obs.metrics->GetCounter("service.costmodel_switches")->Inc();
+        }
+        return Status::OK();
+      });
 }
 
 Result<Recommendation> AdvisorService::Advise(TenantId id) {
-  RequestGuard guard(this, RequestVerb::kAdvise);
-  Result<Recommendation> out = AdviseImpl(id);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<Recommendation> AdvisorService::AdviseImpl(TenantId id) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/advise", "service");
-  span.AddArg("tenant", tenant->name);
-  tenant->CountRequest();
-  std::lock_guard<std::mutex> lock(tenant->state_mu);
-  EvaluationRequest request{tenant->window.Smoothed()};
-  request.strategies = config_.recluster.strategies;
-  request.num_threads = 1;  // the request pool is the parallelism
-  request.cost_mode = config_.recluster.cost_mode;
-  request.obs = config_.obs;
-  request.cost_model = tenant->cost_model;
-  return tenant->advisor.AdviseIncremental(request, &tenant->advise_state);
+  return RunVerb(
+      RequestVerb::kAdvise, id, "service/advise", kAdmitAll,
+      [&](Tenant* tenant, ScopedSpan& span) {
+        span.AddArg("tenant", tenant->name);
+        std::lock_guard<std::mutex> lock(tenant->state_mu);
+        EvaluationRequest request{tenant->window.Smoothed()};
+        request.strategies = config_.recluster.strategies;
+        request.num_threads = 1;  // the request pool is the parallelism
+        request.obs = config_.obs;
+        request.cost_model = tenant->cost_model;
+        return tenant->advisor.AdviseIncremental(request,
+                                                 &tenant->advise_state);
+      });
 }
 
 Result<QueryAnswer> AdvisorService::Query(TenantId id, const GridQuery& query) {
-  RequestGuard guard(this, RequestVerb::kQuery);
-  Result<QueryAnswer> out = QueryImpl(id, query);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<QueryAnswer> AdvisorService::QueryImpl(TenantId id,
-                                              const GridQuery& query) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/query", "service");
-  SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, query));
-  tenant->CountRequest();
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
-                          PinEpoch(id));
-  if (epoch->backend == nullptr) {
-    return Status::FailedPrecondition("tenant '" + tenant->name +
-                                      "' is analytic (no fact table)");
-  }
-  const QueryEngine engine(*epoch->backend, config_.obs);
-  PruneStats prune;
-  const QueryAnswer answer = engine.Execute(query, &prune);
-  if (RequestContext* ctx = RequestContext::Current()) {
-    ctx->pages += answer.io.pages;
-    ctx->partitions_pruned += prune.pruned;
-  }
-  return answer;
+  return RunVerb(
+      RequestVerb::kQuery, id, "service/query", AdmitQuery(query),
+      [&](Tenant* tenant, ScopedSpan&) -> Result<QueryAnswer> {
+        SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
+                                PinStorage(tenant));
+        const QueryEngine engine(*epoch->backend, config_.obs);
+        PruneStats prune;
+        const QueryAnswer answer = engine.Execute(query, &prune);
+        ChargeRequest(answer.io.pages, prune);
+        return answer;
+      });
 }
 
 Result<QueryIo> AdvisorService::Measure(TenantId id, const GridQuery& query) {
-  RequestGuard guard(this, RequestVerb::kMeasure);
-  Result<QueryIo> out = MeasureImpl(id, query);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<QueryIo> AdvisorService::MeasureImpl(TenantId id,
-                                            const GridQuery& query) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/measure", "service");
-  SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, query));
-  tenant->CountRequest();
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
-                          PinEpoch(id));
-  if (epoch->backend == nullptr) {
-    return Status::FailedPrecondition("tenant '" + tenant->name +
-                                      "' is analytic (no fact table)");
-  }
-  const IoSimulator simulator(*epoch->backend, config_.obs);
-  PruneStats prune;
-  const QueryIo io = simulator.Measure(query, &prune);
-  if (RequestContext* ctx = RequestContext::Current()) {
-    ctx->pages += io.pages;
-    ctx->partitions_pruned += prune.pruned;
-  }
-  return io;
+  return RunVerb(
+      RequestVerb::kMeasure, id, "service/measure", AdmitQuery(query),
+      [&](Tenant* tenant, ScopedSpan&) -> Result<QueryIo> {
+        SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
+                                PinStorage(tenant));
+        const IoSimulator simulator(*epoch->backend, config_.obs);
+        PruneStats prune;
+        const QueryIo io = simulator.Measure(query, &prune);
+        ChargeRequest(io.pages, prune);
+        return io;
+      });
 }
 
 Result<TenantStatus> AdvisorService::StatusOf(TenantId id) const {
   SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
   TenantStatus status;
   status.id = tenant->id;
   status.name = tenant->name;
@@ -812,8 +751,8 @@ std::future<R> AdvisorService::SubmitInstrumented(ThreadPool* pool,
        fn = std::move(fn)]() -> R {
         const auto start = std::chrono::steady_clock::now();
         if (queue_hist != nullptr) queue_hist->Record(ElapsedNs(submitted));
-        // Leave the submit time for the RequestGuard the handler constructs,
-        // so batched requests record a real queue wait.
+        // Leave the submit time for the request the handler starts, so
+        // batched requests record a real queue wait.
         tls_pending_enqueue_ns = enqueue_ns;
         R out = fn();
         tls_pending_enqueue_ns = 0;
@@ -879,129 +818,129 @@ Result<std::string> AdvisorService::Dispatch(std::string_view tenant_name,
                                              std::string_view request) {
   const std::string_view trimmed = TrimWhitespace(request);
   const size_t space = trimmed.find(' ');
-  const std::string_view verb = trimmed.substr(0, space);
+  const std::string_view verb_text = trimmed.substr(0, space);
   const std::string_view payload =
       space == std::string_view::npos
           ? std::string_view{}
           : TrimWhitespace(trimmed.substr(space + 1));
-  // The verb is parsed before the guard so the recorded request carries it
-  // even when the tenant lookup (or the request itself) fails.
-  RequestGuard guard(this, ParseRequestVerb(verb));
-  Result<std::string> out = DispatchImpl(tenant_name, verb, payload);
-  guard.Finish(out.status());
-  return out;
-}
+  // The verb is parsed before the request opens so the recorded request
+  // carries it even when the tenant lookup (or the request itself) fails.
+  // The typed verbs called below nest inside this request: it owns the
+  // record, and they count the tenant's request as on the typed surface.
+  const RequestVerb verb = ParseRequestVerb(verb_text);
+  return RunRequest(verb, [&]() -> Result<std::string> {
+    SNAKES_ASSIGN_OR_RETURN(TenantId id, FindTenant(tenant_name));
+    SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
 
-Result<std::string> AdvisorService::DispatchImpl(std::string_view tenant_name,
-                                                 std::string_view verb,
-                                                 std::string_view payload) {
-  SNAKES_ASSIGN_OR_RETURN(TenantId id, FindTenant(tenant_name));
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
+    const auto parse_query = [&]() -> Result<GridQuery> {
+      if (tenant->tables.empty()) {
+        return Status::FailedPrecondition(
+            "tenant '" + tenant->name +
+            "' registered no dimension tables; textual queries are disabled");
+      }
+      return ParseGridQuery(*tenant->schema, tenant->tables, payload);
+    };
 
-  const auto parse_query = [&]() -> Result<GridQuery> {
-    if (tenant->tables.empty()) {
-      return Status::FailedPrecondition(
-          "tenant '" + tenant->name +
-          "' registered no dimension tables; textual queries are disabled");
+    switch (verb) {
+      case RequestVerb::kAdvise: {
+        SNAKES_ASSIGN_OR_RETURN(Recommendation rec, Advise(id));
+        if (!rec.has_best()) {
+          return Status::InvalidArgument("no strategy applies to the schema");
+        }
+        return "best " + rec.best().name + " cost " +
+               FormatDouble(rec.best().expected_cost, 4) + " (" +
+               std::to_string(rec.ranked.size()) + " strategies)";
+      }
+      case RequestVerb::kIngest: {
+        SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
+        SNAKES_RETURN_IF_ERROR(Ingest(id, query));
+        return std::string("ingested " + query.ToString());
+      }
+      case RequestVerb::kQuery: {
+        SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
+        SNAKES_ASSIGN_OR_RETURN(QueryAnswer answer, Query(id, query));
+        return "count " + std::to_string(answer.count) + " sum " +
+               FormatDouble(answer.sum, 2) + " pages " +
+               std::to_string(answer.io.pages) + " seeks " +
+               std::to_string(answer.io.seeks);
+      }
+      case RequestVerb::kMeasure: {
+        SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
+        SNAKES_ASSIGN_OR_RETURN(QueryIo io, Measure(id, query));
+        return "records " + std::to_string(io.records) + " pages " +
+               std::to_string(io.pages) + " seeks " + std::to_string(io.seeks);
+      }
+      case RequestVerb::kEndEpoch: {
+        SNAKES_ASSIGN_OR_RETURN(uint64_t epoch, EndEpoch(id));
+        return "closed epoch " + std::to_string(epoch);
+      }
+      case RequestVerb::kRecluster: {
+        SNAKES_ASSIGN_OR_RETURN(EpochReport report, ReclusterNow(id));
+        return std::string(ReclusterDecisionName(report.decision)) + " " +
+               report.proposed_strategy;
+      }
+      case RequestVerb::kStatus: {
+        SNAKES_ASSIGN_OR_RETURN(TenantStatus status, StatusOf(id));
+        return status.ToString();
+      }
+      case RequestVerb::kBackend: {
+        if (payload.empty()) {
+          std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+          return "backend " + std::string(StorageBackendKindName(
+                                  tenant->engine.backend_kind()));
+        }
+        SNAKES_ASSIGN_OR_RETURN(StorageBackendKind kind,
+                                ParseStorageBackendKind(payload));
+        SNAKES_RETURN_IF_ERROR(SetBackend(id, kind));
+        return "backend " + std::string(StorageBackendKindName(kind));
+      }
+      case RequestVerb::kCostModel: {
+        //   costmodel                         -> report the live model's JSON
+        //   costmodel analytic|hdd|ssd        -> switch to a preset
+        //   costmodel calibrated <json|path>  -> load fitted coefficients
+        if (payload.empty()) {
+          std::lock_guard<std::mutex> lock(tenant->state_mu);
+          return "costmodel " + tenant->cost_model->name() + " " +
+                 tenant->cost_model->ToJson();
+        }
+        const size_t split = payload.find(' ');
+        CostModelSpec spec;
+        SNAKES_ASSIGN_OR_RETURN(spec.kind,
+                                ParseCostModelKind(payload.substr(0, split)));
+        if (split != std::string_view::npos) {
+          spec.calibrated_json =
+              std::string(TrimWhitespace(payload.substr(split + 1)));
+        }
+        SNAKES_RETURN_IF_ERROR(SetCostModel(id, spec));
+        return "costmodel " + std::string(CostModelKindName(spec.kind));
+      }
+      case RequestVerb::kTelemetry: {
+        // Service-wide telemetry, reachable from any registered tenant:
+        //   telemetry [json]   -> full snapshot as JSON
+        //   telemetry prom     -> Prometheus text exposition
+        //   telemetry recorder -> flight-recorder dump only
+        //   telemetry advance  -> rotate the SLO windows (sampler-less mode)
+        if (payload.empty() || payload == "json") {
+          return Telemetry().ToJson(/*pretty=*/true);
+        }
+        if (payload == "prom" || payload == "prometheus") {
+          return Telemetry().ToPrometheus();
+        }
+        if (payload == "recorder") return recorder_.ToJson(/*pretty=*/true);
+        if (payload == "advance") {
+          AdvanceSloWindows();
+          return std::string("advanced slo windows");
+        }
+        return Status::InvalidArgument("unknown telemetry format '" +
+                                       std::string(payload) + "'");
+      }
+      case RequestVerb::kRegister:  // registration is typed-only
+      case RequestVerb::kUnknown:
+        break;
     }
-    return ParseGridQuery(*tenant->schema, tenant->tables, payload);
-  };
-
-  if (verb == "advise") {
-    SNAKES_ASSIGN_OR_RETURN(Recommendation rec, Advise(id));
-    if (!rec.has_best()) {
-      return Status::InvalidArgument("no strategy applies to the schema");
-    }
-    return "best " + rec.best().name + " cost " +
-           FormatDouble(rec.best().expected_cost, 4) + " (" +
-           std::to_string(rec.ranked.size()) + " strategies)";
-  }
-  if (verb == "ingest") {
-    SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
-    SNAKES_RETURN_IF_ERROR(Ingest(id, query));
-    return std::string("ingested " + query.ToString());
-  }
-  if (verb == "query") {
-    SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
-    SNAKES_ASSIGN_OR_RETURN(QueryAnswer answer, Query(id, query));
-    return "count " + std::to_string(answer.count) + " sum " +
-           FormatDouble(answer.sum, 2) + " pages " +
-           std::to_string(answer.io.pages) + " seeks " +
-           std::to_string(answer.io.seeks);
-  }
-  if (verb == "measure") {
-    SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
-    SNAKES_ASSIGN_OR_RETURN(QueryIo io, Measure(id, query));
-    return "records " + std::to_string(io.records) + " pages " +
-           std::to_string(io.pages) + " seeks " + std::to_string(io.seeks);
-  }
-  if (verb == "end-epoch") {
-    SNAKES_ASSIGN_OR_RETURN(uint64_t epoch, EndEpoch(id));
-    return "closed epoch " + std::to_string(epoch);
-  }
-  if (verb == "recluster") {
-    SNAKES_ASSIGN_OR_RETURN(EpochReport report, ReclusterNow(id));
-    return std::string(ReclusterDecisionName(report.decision)) + " " +
-           report.proposed_strategy;
-  }
-  if (verb == "status") {
-    SNAKES_ASSIGN_OR_RETURN(TenantStatus status, StatusOf(id));
-    return status.ToString();
-  }
-  if (verb == "backend") {
-    if (payload.empty()) {
-      std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-      return "backend " +
-             std::string(StorageBackendKindName(tenant->engine.backend_kind()));
-    }
-    SNAKES_ASSIGN_OR_RETURN(StorageBackendKind kind,
-                            ParseStorageBackendKind(payload));
-    SNAKES_RETURN_IF_ERROR(SetBackend(id, kind));
-    return "backend " + std::string(StorageBackendKindName(kind));
-  }
-  if (verb == "costmodel") {
-    //   costmodel                         -> report the live model's JSON
-    //   costmodel analytic|hdd|ssd        -> switch to a preset
-    //   costmodel calibrated <json|path>  -> load fitted coefficients
-    if (payload.empty()) {
-      std::lock_guard<std::mutex> lock(tenant->state_mu);
-      return "costmodel " + tenant->cost_model->name() + " " +
-             tenant->cost_model->ToJson();
-    }
-    const size_t space = payload.find(' ');
-    CostModelSpec spec;
-    SNAKES_ASSIGN_OR_RETURN(spec.kind,
-                            ParseCostModelKind(payload.substr(0, space)));
-    if (space != std::string_view::npos) {
-      spec.calibrated_json =
-          std::string(TrimWhitespace(payload.substr(space + 1)));
-    }
-    SNAKES_RETURN_IF_ERROR(SetCostModel(id, spec));
-    return "costmodel " + std::string(CostModelKindName(spec.kind));
-  }
-  if (verb == "telemetry") {
-    // Service-wide telemetry, reachable from any registered tenant:
-    //   telemetry [json]   -> full snapshot as JSON
-    //   telemetry prom     -> Prometheus text exposition
-    //   telemetry recorder -> flight-recorder dump only
-    //   telemetry advance  -> rotate the SLO windows (sampler-less mode)
-    if (payload.empty() || payload == "json") {
-      return Telemetry().ToJson(/*pretty=*/true);
-    }
-    if (payload == "prom" || payload == "prometheus") {
-      return Telemetry().ToPrometheus();
-    }
-    if (payload == "recorder") return recorder_.ToJson(/*pretty=*/true);
-    if (payload == "advance") {
-      AdvanceSloWindows();
-      return std::string("advanced slo windows");
-    }
-    return Status::InvalidArgument("unknown telemetry format '" +
-                                   std::string(payload) + "'");
-  }
-  return Status::InvalidArgument("unknown request verb '" +
-                                 std::string(verb) + "'");
+    return Status::InvalidArgument("unknown request verb '" +
+                                   std::string(verb_text) + "'");
+  });
 }
 
 TelemetrySnapshot AdvisorService::Telemetry() const {

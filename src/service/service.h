@@ -38,6 +38,7 @@
 namespace snakes {
 
 class Counter;
+class ScopedSpan;
 
 /// Stable id of a registered tenant (dense, assigned at registration).
 using TenantId = uint64_t;
@@ -290,31 +291,25 @@ class AdvisorService {
  private:
   struct Tenant;
 
-  /// RAII per-request bookkeeping: assigns the request id, installs the
-  /// thread's RequestContext, opens the "request/<verb>" span, and on
-  /// destruction stamps the finish time and records the completed request
-  /// into the flight recorder and the tenant's SLO window. Nested
-  /// construction (a Dispatch verb calling the sync surface) is a no-op —
-  /// the outermost guard owns the request.
-  class RequestGuard;
-
-  /// Looks a tenant up by id; NotFound past the registered range.
+  /// Looks a tenant up by id (NotFound past the registered range) and
+  /// attributes the current request, if any, to it.
   Result<Tenant*> Find(TenantId id) const;
 
-  // Un-instrumented bodies of the public request surface; the public
-  // methods wrap them in a RequestGuard.
-  Status IngestImpl(TenantId id, const GridQuery& query);
-  Result<uint64_t> EndEpochImpl(TenantId id);
-  Result<Recommendation> AdviseImpl(TenantId id);
-  Result<QueryAnswer> QueryImpl(TenantId id, const GridQuery& query);
-  Result<QueryIo> MeasureImpl(TenantId id, const GridQuery& query);
-  Result<EpochReport> ReclusterNowImpl(TenantId id);
-  Status SetBackendImpl(TenantId id, StorageBackendKind kind);
-  Status SetCostModelImpl(TenantId id, const CostModelSpec& spec);
-  Result<TenantId> RegisterTenantImpl(TenantSpec spec);
-  Result<std::string> DispatchImpl(std::string_view tenant_name,
-                                   std::string_view verb,
-                                   std::string_view payload);
+  /// The one request path: runs `fn` as a request of `verb` under a fresh
+  /// RequestContext and "request/<verb>" span, then records fn's outcome
+  /// (flight recorder, the tenant's SLO window, service.requests.*). Nested
+  /// in another request (a Dispatch verb calling a typed one) it only runs
+  /// `fn`; the outer request owns the record.
+  template <typename Fn>
+  auto RunRequest(RequestVerb verb, Fn&& fn);
+
+  /// RunRequest for a verb on tenant `id`: resolves the tenant, opens the
+  /// `span` span, runs `admit(tenant, span)` — what a request must pass to
+  /// count in service.tenant.<name>.requests — counts it, and returns
+  /// `body(tenant, span)`.
+  template <typename Admit, typename Body>
+  auto RunVerb(RequestVerb verb, TenantId id, const char* span, Admit&& admit,
+               Body&& body);
 
   /// Appends the decision of one engine epoch (with its inputs) to the
   /// audit log, attributed to the current request if any.
@@ -324,15 +319,20 @@ class AdvisorService {
   void SamplerLoop();
   void StopSampler();
 
-  /// Closes the open epoch. Caller holds tenant->state_mu; returns the
-  /// closed epoch's observed workload for the recluster trigger.
-  Result<Workload> CloseEpochLocked(Tenant* tenant);
+  /// Closes the open epoch. Caller holds tenant->state_mu.
+  Status CloseEpochLocked(Tenant* tenant);
 
   /// Epoch-close follow-up: fire-and-forget background recluster.
-  void MaybeScheduleRecluster(TenantId id);
+  void MaybeScheduleRecluster(Tenant* tenant);
 
-  /// The OnEpoch + publish body shared by ReclusterNow and SubmitRecluster.
-  Result<EpochReport> RunRecluster(Tenant* tenant);
+  /// The OnEpoch + publish body shared by ReclusterNow and the background
+  /// job; tags `span` with the tenant.
+  Result<EpochReport> RunRecluster(Tenant* tenant, ScopedSpan* span);
+
+  /// Pins the tenant's epoch for a typed query; FailedPrecondition for an
+  /// analytic tenant, which has no storage to query.
+  Result<std::shared_ptr<const TenantEpoch>> PinStorage(
+      const Tenant* tenant) const;
 
   /// Builds a TenantEpoch around the adopted linearization/backend, stamps
   /// the next sequence number, and swaps it in as the tenant's published
@@ -342,7 +342,7 @@ class AdvisorService {
 
   /// Wraps `fn` with queue-wait/compute instrumentation for `type` and
   /// submits it to `pool`; rejection surfaces as an immediately-ready
-  /// future (built by the caller-supplied `rejected` value factory).
+  /// FailedPrecondition future.
   template <typename R>
   std::future<R> SubmitInstrumented(ThreadPool* pool, const char* type,
                                     std::function<R()> fn);

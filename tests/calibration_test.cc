@@ -1,9 +1,11 @@
 #include "cost/calibration.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/advisor.h"
@@ -184,7 +186,11 @@ class CalibrationSweepTest : public ::testing::Test {
     CalibrationSweepConfig config;
     config.queries_per_class = 2;
     config.repetitions = 2;
-    config.scratch_path = ::testing::TempDir() + "/calibration_scratch.bin";
+    // One file per case and process: ctest runs the cases in parallel.
+    config.scratch_path =
+        ::testing::TempDir() + "/" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "." + std::to_string(getpid()) + ".calibration_scratch.bin";
     return config;
   }
 

@@ -108,7 +108,6 @@ Recommendation DirectAdvise(const std::shared_ptr<const StarSchema>& schema,
   EvaluationRequest request{mu};
   request.strategies = config.recluster.strategies;
   request.num_threads = 1;
-  request.cost_mode = config.recluster.cost_mode;
   return advisor.AdviseIncremental(request, &state).value();
 }
 
@@ -118,7 +117,10 @@ Recommendation DirectAdvise(const std::shared_ptr<const StarSchema>& schema,
 
 TEST(ServiceRegistrationTest, ValidatesSpecs) {
   auto schema = SmallSchema();
-  AdvisorService service(SmallConfig());
+  MetricsRegistry metrics;
+  ServiceConfig config = SmallConfig();
+  config.obs.metrics = &metrics;
+  AdvisorService service(config);
 
   TenantSpec unnamed;
   unnamed.schema = schema;
@@ -152,11 +154,18 @@ TEST(ServiceRegistrationTest, ValidatesSpecs) {
   good.facts = DenseFacts(schema, 2);
   ASSERT_TRUE(service.RegisterTenant(std::move(good)).ok());
 
+  // A taken name is rejected before any advise, pack or publish work.
+  Counter* const published = metrics.GetCounter("service.epochs_published");
+  const uint64_t published_before = published->value();
+  const uint64_t audited_before = service.audit_log().recorded();
   TenantSpec duplicate;
   duplicate.name = "t";
   duplicate.schema = schema;
+  duplicate.facts = DenseFacts(schema, 2);
   EXPECT_FALSE(service.RegisterTenant(std::move(duplicate)).ok());
   EXPECT_EQ(service.num_tenants(), 1u);
+  EXPECT_EQ(published->value(), published_before);
+  EXPECT_EQ(service.audit_log().recorded(), audited_before);
 }
 
 TEST(ServiceRegistrationTest, PublishesEpochOneBeforeReturning) {
@@ -269,7 +278,10 @@ TEST(ServiceQueryTest, AnswersMatchADirectEngineOnThePinnedLayout) {
 
 TEST(ServiceQueryTest, RejectsMalformedTypedQueries) {
   auto schema = SmallSchema();
-  AdvisorService service(SmallConfig());
+  MetricsRegistry metrics;
+  ServiceConfig config = SmallConfig();
+  config.obs.metrics = &metrics;
+  AdvisorService service(config);
   TenantSpec spec;
   spec.name = "t";
   spec.schema = schema;
@@ -292,6 +304,12 @@ TEST(ServiceQueryTest, RejectsMalformedTypedQueries) {
   EXPECT_FALSE(service.Measure(id, MakeQuery(1, 0, 7, 0)).ok());
 
   EXPECT_FALSE(service.Query(99, MakeQuery(0, 0, 0, 0)).ok());
+
+  // Rejected queries never count as requests of the tenant; a valid one does.
+  Counter* const requests = metrics.GetCounter("service.tenant.t.requests");
+  EXPECT_EQ(requests->value(), 0u);
+  EXPECT_TRUE(service.Query(id, MakeQuery(0, 0, 0, 0)).ok());
+  EXPECT_EQ(requests->value(), 1u);
 }
 
 // ---------------------------------------------------------------------------

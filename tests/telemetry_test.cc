@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -24,6 +26,8 @@
 #include <vector>
 
 #include "core/advisor.h"
+#include "cost/cost_model.h"
+#include "hierarchy/dimension_table.h"
 #include "hierarchy/star_schema.h"
 #include "lattice/grid_query.h"
 #include "lattice/workload.h"
@@ -328,6 +332,31 @@ TenantId RegisterSimple(AdvisorService* service, const std::string& name) {
   return service->RegisterTenant(std::move(spec)).value();
 }
 
+Status Outcome(const Status& status) { return status; }
+template <typename T>
+Status Outcome(const Result<T>& result) {
+  return result.status();
+}
+
+/// Labels block b of level l in every dimension "l<l>b<b>", so textual
+/// queries read e.g. "a=l0b1 b=l1b0".
+std::vector<DimensionTable> LabelTables(const StarSchema& schema) {
+  std::vector<DimensionTable> tables;
+  for (int d = 0; d < schema.num_dims(); ++d) {
+    const Hierarchy& h = schema.dim(d);
+    std::vector<std::vector<std::string>> labels(
+        static_cast<size_t>(h.num_levels()) + 1);
+    for (int l = 0; l <= h.num_levels(); ++l) {
+      for (uint64_t b = 0; b < h.num_blocks(l); ++b) {
+        labels[static_cast<size_t>(l)].push_back(
+            "l" + std::to_string(l) + "b" + std::to_string(b));
+      }
+    }
+    tables.push_back(DimensionTable::Make(h, std::move(labels)).value());
+  }
+  return tables;
+}
+
 TEST(ServiceTelemetryTest, RequestIdsAreUniqueAcrossAllPaths) {
   MetricsRegistry metrics;
   Tracer tracer;
@@ -335,40 +364,165 @@ TEST(ServiceTelemetryTest, RequestIdsAreUniqueAcrossAllPaths) {
   config.obs = ObsSink{&metrics, &tracer};
   config.recluster_on_epoch_close = true;  // exercise background requests
   AdvisorService service(config);
-  const TenantId id = RegisterSimple(&service, "t");
+  TenantSpec spec;
+  spec.name = "t";
+  spec.schema = SmallSchema();
+  spec.facts = DenseFacts(spec.schema, 2);
+  spec.tables = LabelTables(*spec.schema);
+  const TenantId id = service.RegisterTenant(std::move(spec)).value();
 
-  // Sync surface.
-  ASSERT_TRUE(service.Advise(id).ok());
-  ASSERT_TRUE(service.Query(id, MakeQuery(2, 2, 0, 0)).ok());
-  ASSERT_TRUE(service.Measure(id, MakeQuery(0, 2, 0, 0)).ok());
-  // Batched surface.
-  ASSERT_TRUE(service.SubmitQuery(id, MakeQuery(0, 2, 1, 0)).get().ok());
-  ASSERT_TRUE(service.SubmitAdvise(id).get().ok());
-  // Dispatch surface (including an error, which must also be recorded).
-  ASSERT_TRUE(service.Dispatch("t", "status").ok());
-  EXPECT_FALSE(service.Dispatch("t", "frobnicate").ok());
-  // Epoch close fires a background recluster request.
-  ASSERT_TRUE(service.Ingest(id, MakeQuery(0, 0, 1, 1)).ok());
-  ASSERT_TRUE(service.EndEpoch(id).ok());
-  service.Shutdown();  // drains the background job
+  // Every verb through every surface that offers it (sync, Submit*,
+  // Dispatch), plus the error paths: each call records exactly one request
+  // with the verb, tenant and status its caller saw, and counts against the
+  // tenant only once it passed admission. An epoch close also fires the
+  // background recluster, a request of its own.
+  struct Call {
+    const char* what;
+    RequestVerb verb;
+    uint64_t tenant;
+    uint64_t counts;  // service.tenant.t.requests increments
+    std::function<Status()> run;
+    bool fires_recluster = false;
+  };
+  const GridQuery q = MakeQuery(0, 2, 1, 0);
+  const GridQuery bad = MakeQuery(1, 0, 7, 0);  // block 7 of 2
+  CostModelSpec hdd;
+  hdd.kind = CostModelKind::kHdd;
+  CostModelSpec bad_model;
+  bad_model.kind = CostModelKind::kCalibrated;
+  bad_model.calibrated_json = "{\"bad\": 1}";
+  TenantSpec duplicate;
+  duplicate.name = "t";
+  duplicate.schema = SmallSchema();
+  TenantSpec second;
+  second.name = "u";
+  second.schema = SmallSchema();
+  const auto dispatch = [&](const char* request) {
+    return Outcome(service.Dispatch("t", request));
+  };
+  const std::vector<Call> calls = {
+      {"sync advise", RequestVerb::kAdvise, id, 1,
+       [&] { return Outcome(service.Advise(id)); }},
+      {"submit advise", RequestVerb::kAdvise, id, 1,
+       [&] { return Outcome(service.SubmitAdvise(id).get()); }},
+      {"dispatch advise", RequestVerb::kAdvise, id, 1,
+       [&] { return dispatch("advise"); }},
+      {"submit dispatch advise", RequestVerb::kAdvise, id, 1,
+       [&] { return Outcome(service.SubmitDispatch("t", "advise").get()); }},
+      {"sync query", RequestVerb::kQuery, id, 1,
+       [&] { return Outcome(service.Query(id, q)); }},
+      {"submit query", RequestVerb::kQuery, id, 1,
+       [&] { return Outcome(service.SubmitQuery(id, q).get()); }},
+      {"dispatch query", RequestVerb::kQuery, id, 1,
+       [&] { return dispatch("query a=l1b0 b=l0b2"); }},
+      {"invalid query", RequestVerb::kQuery, id, 0,
+       [&] { return Outcome(service.Query(id, bad)); }},
+      {"unknown tenant query", RequestVerb::kQuery, kNoTenant, 0,
+       [&] { return Outcome(service.Query(99, q)); }},
+      {"unparsable dispatch query", RequestVerb::kQuery, id, 0,
+       [&] { return dispatch("query a=nosuchlabel"); }},
+      {"sync measure", RequestVerb::kMeasure, id, 1,
+       [&] { return Outcome(service.Measure(id, q)); }},
+      {"submit measure", RequestVerb::kMeasure, id, 1,
+       [&] { return Outcome(service.SubmitMeasure(id, q).get()); }},
+      {"dispatch measure", RequestVerb::kMeasure, id, 1,
+       [&] { return dispatch("measure b=l1b1"); }},
+      {"invalid submit measure", RequestVerb::kMeasure, id, 0,
+       [&] { return Outcome(service.SubmitMeasure(id, bad).get()); }},
+      {"end-epoch with nothing ingested", RequestVerb::kEndEpoch, id, 1,
+       [&] { return Outcome(service.EndEpoch(id)); }},
+      {"sync ingest", RequestVerb::kIngest, id, 1,
+       [&] { return service.Ingest(id, q); }},
+      {"sync end-epoch", RequestVerb::kEndEpoch, id, 1,
+       [&] { return Outcome(service.EndEpoch(id)); }, true},
+      {"submit ingest", RequestVerb::kIngest, id, 1,
+       [&] { return service.SubmitIngest(id, q).get(); }},
+      {"submit end-epoch", RequestVerb::kEndEpoch, id, 1,
+       [&] { return Outcome(service.SubmitEndEpoch(id).get()); }, true},
+      {"dispatch ingest", RequestVerb::kIngest, id, 1,
+       [&] { return dispatch("ingest a=l0b1"); }},
+      {"dispatch end-epoch", RequestVerb::kEndEpoch, id, 1,
+       [&] { return dispatch("end-epoch"); }, true},
+      {"invalid submit ingest", RequestVerb::kIngest, id, 0,
+       [&] { return service.SubmitIngest(id, bad).get(); }},
+      {"sync recluster", RequestVerb::kRecluster, id, 1,
+       [&] { return Outcome(service.ReclusterNow(id)); }},
+      {"submit recluster", RequestVerb::kRecluster, id, 1,
+       [&] { return Outcome(service.SubmitRecluster(id).get()); }},
+      {"dispatch recluster", RequestVerb::kRecluster, id, 1,
+       [&] { return dispatch("recluster"); }},
+      {"sync backend", RequestVerb::kBackend, id, 1,
+       [&] {
+         return service.SetBackend(id, StorageBackendKind::kMicroPartition);
+       }},
+      {"dispatch backend", RequestVerb::kBackend, id, 1,
+       [&] { return dispatch("backend packed"); }},
+      {"dispatch backend report", RequestVerb::kBackend, id, 0,
+       [&] { return dispatch("backend"); }},
+      {"sync costmodel", RequestVerb::kCostModel, id, 1,
+       [&] { return service.SetCostModel(id, hdd); }},
+      {"invalid sync costmodel", RequestVerb::kCostModel, id, 0,
+       [&] { return service.SetCostModel(id, bad_model); }},
+      {"dispatch costmodel", RequestVerb::kCostModel, id, 1,
+       [&] { return dispatch("costmodel ssd"); }},
+      {"dispatch costmodel report", RequestVerb::kCostModel, id, 0,
+       [&] { return dispatch("costmodel"); }},
+      {"dispatch status", RequestVerb::kStatus, id, 0,
+       [&] { return dispatch("status"); }},
+      {"dispatch telemetry", RequestVerb::kTelemetry, id, 0,
+       [&] { return dispatch("telemetry advance"); }},
+      {"dispatch unknown verb", RequestVerb::kUnknown, id, 0,
+       [&] { return dispatch("frobnicate"); }},
+      {"dispatch register", RequestVerb::kRegister, id, 0,
+       [&] { return dispatch("register"); }},
+      {"dispatch unknown tenant", RequestVerb::kAdvise, kNoTenant, 0,
+       [&] { return Outcome(service.Dispatch("nope", "advise")); }},
+      {"register duplicate name", RequestVerb::kRegister, kNoTenant, 0,
+       [&] { return Outcome(service.RegisterTenant(std::move(duplicate))); }},
+      {"register", RequestVerb::kRegister, id + 1, 0,
+       [&] { return Outcome(service.RegisterTenant(std::move(second))); }},
+  };
 
-  const TelemetrySnapshot snap = service.Telemetry();
-  ASSERT_GE(snap.requests.size(), 9u);
-  std::set<uint64_t> ids;
-  uint64_t prev = 0;
-  bool saw_background_recluster = false;
+  Counter* const tenant_requests =
+      metrics.GetCounter("service.tenant.t.requests");
+  uint64_t last_id = service.flight_recorder().Snapshot().back().id;
   bool saw_error = false;
-  for (const RequestRecord& r : snap.requests) {
-    EXPECT_GT(r.id, prev) << "dump ids must be strictly increasing";
-    prev = r.id;
-    ids.insert(r.id);
-    EXPECT_LE(r.enqueue_ns, r.start_ns);
-    EXPECT_LE(r.start_ns, r.finish_ns);
-    if (r.verb == RequestVerb::kRecluster) saw_background_recluster = true;
-    if (r.status != StatusCode::kOk) saw_error = true;
+  for (const Call& call : calls) {
+    SCOPED_TRACE(call.what);
+    const uint64_t before = service.flight_recorder().recorded();
+    const uint64_t counted = tenant_requests->value();
+    const Status status = call.run();
+    saw_error = saw_error || !status.ok();
+    // The background recluster an epoch close fires lands asynchronously.
+    const uint64_t expected = before + (call.fires_recluster ? 2 : 1);
+    for (int i = 0;
+         i < 5000 && service.flight_recorder().recorded() < expected; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.flight_recorder().recorded(), expected);
+    EXPECT_EQ(tenant_requests->value(), counted + call.counts);
+
+    std::vector<RequestRecord> fresh;
+    for (const RequestRecord& r : service.flight_recorder().Snapshot()) {
+      if (r.id > last_id) fresh.push_back(r);
+    }
+    ASSERT_EQ(fresh.size(), expected - before);
+    const RequestRecord& r = fresh.front();
+    EXPECT_EQ(r.verb, call.verb);
+    EXPECT_EQ(r.tenant, call.tenant);
+    EXPECT_EQ(r.status, status.code());
+    if (call.fires_recluster) {
+      EXPECT_EQ(fresh.back().verb, RequestVerb::kRecluster);
+      EXPECT_EQ(fresh.back().tenant, id);
+      EXPECT_EQ(fresh.back().status, StatusCode::kOk);
+    }
+    for (const RequestRecord& f : fresh) {
+      EXPECT_GT(f.id, last_id) << "ids must be unique and increasing";
+      EXPECT_LE(f.enqueue_ns, f.start_ns);
+      EXPECT_LE(f.start_ns, f.finish_ns);
+      last_id = f.id;
+    }
   }
-  EXPECT_EQ(ids.size(), snap.requests.size());
-  EXPECT_TRUE(saw_background_recluster);
   EXPECT_TRUE(saw_error);
   EXPECT_GT(metrics.Snapshot().counter("service.requests.completed"), 0u);
   EXPECT_GT(metrics.Snapshot().counter("service.requests.errors"), 0u);

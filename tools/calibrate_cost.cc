@@ -13,7 +13,9 @@
 // fit measured time against the features by ordinary least squares — no
 // external solver. Writes the raw samples and the fitted coefficients as
 // JSON; the coefficients file loads straight into CalibratedLinearModel::
-// FromJson / the service's `costmodel calibrated <path>` verb.
+// FromJson / the service's `costmodel calibrated <path>` verb. The scratch
+// file defaults to a per-process file in the temp directory and is removed
+// when the sweep ends.
 //
 // Exit status: 0 on a successful fit, 1 on any sweep or fit error (a
 // singular design matrix is an error, never NaN coefficients).
@@ -77,8 +79,7 @@ int Run(int argc, char** argv) {
       std::atoll(FlagValue(argc, argv, "--seed", "19990601").c_str()));
   const uint64_t orders = static_cast<uint64_t>(
       std::atoll(FlagValue(argc, argv, "--orders", "4000").c_str()));
-  const std::string scratch = FlagValue(argc, argv, "--scratch",
-                                        "snakes_calibration_scratch.bin");
+  const std::string scratch = FlagValue(argc, argv, "--scratch", "");
   const std::vector<std::string> backend_names =
       SplitCommas(FlagValue(argc, argv, "--backends", "packed"));
   const std::vector<std::string> features =

@@ -18,6 +18,13 @@ run_matrix_entry() {
 }
 
 run_matrix_entry release -DCMAKE_BUILD_TYPE=Release
+# Hermeticity leg: gtest_discover_tests runs every case as its own process,
+# so tests sharing a scratch file or other process-external state collide
+# only under parallel, reordered runs. Shuffle and repeat the release suite
+# until any such collision shows up.
+echo "==> [release] shuffled repeat"
+ctest --test-dir "$ROOT/build-release" --output-on-failure -j "$JOBS" \
+  --schedule-random --repeat until-fail:5
 # ASan+UBSan catches lifetime/bounds bugs the run-decomposition recursions
 # could hide; halt_on_error turns any report into a hard failure.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
