@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cost/workload_cost.h"
 #include "curves/linearization.h"
@@ -44,19 +43,12 @@ class ClassCostCache {
     uint64_t misses = 0;
   };
 
-  /// Per-strategy memo: fragments/queries per dense lattice index, with a
-  /// validity mask (a class is present once costed).
-  struct StrategyCosts {
-    std::vector<uint64_t> fragments;
-    std::vector<uint64_t> queries;
-    std::vector<char> known;
-  };
-
   ClassCostCache() = default;
 
-  /// The memo for `name`, created empty (sized `num_classes`) on first use.
-  /// The returned pointer is stable for the cache's lifetime.
-  StrategyCosts* Strategy(const std::string& name, uint64_t num_classes);
+  /// The memo for `name` (a class is present once `known`), created empty
+  /// (sized `num_classes`) on first use. The returned pointer is stable for
+  /// the cache's lifetime.
+  ClassCosts* Strategy(const std::string& name, uint64_t num_classes);
 
   /// Number of distinct strategies with at least one costed class.
   uint64_t NumStrategies() const;
@@ -76,18 +68,19 @@ class ClassCostCache {
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, StrategyCosts> strategies_;
+  std::unordered_map<std::string, ClassCosts> strategies_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };
 
 /// MeasureExpectedCost through the memo: bit-identical to
 /// MeasureExpectedCost(mu, lin, obs, mode) on every input, but per-class
-/// fragment counts are computed at most once per cache lifetime. Classes
-/// with zero probability are neither computed nor charged. `cache` must not
-/// be null; pass the same instance across epochs to amortize. `arena`
-/// (optional) is per-thread reusable run storage for cache-miss fills —
-/// identical fragment integers either way.
+/// fragment counts are computed at most once per cache lifetime. The
+/// non-zero classes the memo lacks go to FillClassCosts in one call, so the
+/// auto-mode break-even weighs only what is missing; classes with zero
+/// probability are never charged. `cache` must not be null; pass the same
+/// instance across epochs to amortize. `arena` (optional) is per-thread
+/// reusable counting state for the fill — identical integers either way.
 double MeasureExpectedCostCached(const Workload& mu, const Linearization& lin,
                                  ClassCostCache* cache, const ObsSink& obs = {},
                                  CostEvalMode mode = CostEvalMode::kAuto,

@@ -1,7 +1,9 @@
 #include "cost/workload_cost.h"
 
+#include "lattice/grid_query.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/fraction.h"
 #include "util/logging.h"
 
 namespace snakes {
@@ -42,62 +44,26 @@ double ExpectedSnakedPathCost(const Workload& mu, const LatticePath& path) {
   return total;
 }
 
-namespace {
-
-/// Per-class fragment totals from rank-run counting: a query's fragment
-/// count equals the length of its run decomposition, so summing run counts
-/// over a class reproduces the edge model's TotalFragments exactly. Classes
-/// with zero probability are skipped (fragments 0 over 1 query) — ExpectedCost
-/// never reads them.
-ClassCostTable RunCountClassCosts(const Workload& mu,
-                                  const Linearization& lin, const ObsSink& obs,
-                                  RunArena* arena) {
-  const StarSchema& schema = lin.schema();
-  const QueryClassLattice& lat = mu.lattice();
-  std::vector<uint64_t> fragments(lat.size(), 0);
-  std::vector<uint64_t> queries(lat.size(), 1);
-  Histogram* cells_per_run =
-      obs.metrics != nullptr
-          ? obs.metrics->GetHistogram("curves.cells_per_run")
-          : nullptr;
-  uint64_t total_runs = 0;
-  for (uint64_t i = 0; i < lat.size(); ++i) {
-    if (mu.probability_at(i) == 0.0) continue;
-    const QueryClass cls = lat.ClassAt(i);
-    const uint64_t num_queries = NumQueriesInClass(schema, cls);
-    uint64_t class_fragments;
-    if (lin.ClassRunsDegenerate(cls)) {
-      // Every run is one cell and the class's queries tile the grid, so the
-      // fragment total is num_cells() — no need to materialize anything.
-      // (Single-cell runs are also not worth a histogram pass.)
-      class_fragments = lin.num_cells();
-    } else {
-      lin.AppendClassRuns(cls, arena);
-      class_fragments = arena->num_runs();
-      if (cells_per_run != nullptr) {
-        for (size_t r = 0; r < arena->num_runs(); ++r) {
-          cells_per_run->Record(arena->run(r).len);
-        }
-      }
-    }
-    fragments[i] = class_fragments;
-    queries[i] = num_queries;
-    total_runs += class_fragments;
+double ExpectedCost(const Workload& mu, const ClassCosts& costs) {
+  double total = 0.0;
+  for (uint64_t i = 0; i < mu.lattice().size(); ++i) {
+    const double p = mu.probability_at(i);
+    if (p == 0.0) continue;
+    SNAKES_DCHECK(costs.known[i]);
+    total += p * Fraction(costs.fragments[i], costs.queries[i]).ToDouble();
   }
-  if (obs.metrics != nullptr) {
-    obs.metrics->GetCounter("curves.runs_emitted")->Inc(total_runs);
-  }
-  return ClassCostTable(lat, std::move(fragments), std::move(queries));
+  return total;
 }
 
-/// Total queries across the workload's non-zero classes, saturating at
-/// `cap` (the auto-mode break-even threshold needs no exact count beyond it).
-uint64_t NonZeroQueries(const Workload& mu, const StarSchema& schema,
-                        uint64_t cap) {
+namespace {
+
+/// Total queries across `classes`, saturating just past `cap` (the auto-mode
+/// break-even needs no exact count beyond it).
+uint64_t QueriesIn(const QueryClassLattice& lat, const StarSchema& schema,
+                   const std::vector<uint64_t>& classes, uint64_t cap) {
   uint64_t total = 0;
-  for (uint64_t i = 0; i < mu.lattice().size(); ++i) {
-    if (mu.probability_at(i) == 0.0) continue;
-    total += NumQueriesInClass(schema, mu.lattice().ClassAt(i));
+  for (const uint64_t i : classes) {
+    total += NumQueriesInClass(schema, lat.ClassAt(i));
     if (total > cap) return total;
   }
   return total;
@@ -105,25 +71,83 @@ uint64_t NonZeroQueries(const Workload& mu, const StarSchema& schema,
 
 }  // namespace
 
+bool FillClassCosts(const Linearization& lin, const QueryClassLattice& lat,
+                    const std::vector<uint64_t>& wanted, const ObsSink& obs,
+                    CostEvalMode mode, RunArena* arena, ClassCosts* costs) {
+  const StarSchema& schema = lin.schema();
+  SNAKES_CHECK(lat == QueryClassLattice(schema))
+      << "workload and strategy built over different lattices";
+  SNAKES_CHECK(costs->known.size() == lat.size());
+  const uint64_t cells = lin.num_cells();
+  const bool use_runs =
+      mode == CostEvalMode::kRankRuns ||
+      (mode == CostEvalMode::kAuto && lin.HasRunDecomposition() &&
+       QueriesIn(lat, schema, wanted, cells) <= cells);
+
+  if (!use_runs) {
+    const ClassCostTable table = MeasureClassCosts(lin);
+    for (uint64_t i = 0; i < lat.size(); ++i) {
+      if (costs->known[i]) continue;
+      const QueryClass cls = lat.ClassAt(i);
+      costs->fragments[i] = table.TotalFragments(cls);
+      costs->queries[i] = table.NumQueries(cls);
+      costs->known[i] = 1;
+    }
+    if (obs.metrics != nullptr) {
+      obs.metrics->GetCounter("cost.cells_scanned")->Inc(cells);
+    }
+    return false;
+  }
+
+  // A query's fragment count is its rank-run count, so summing run counts
+  // over a class reproduces the edge model's TotalFragments exactly. Only
+  // the counts are needed: the arena keeps each query's open run, not a
+  // run list.
+  RunArena local;
+  RunArena* counter = arena != nullptr ? arena : &local;
+  counter->SetCountOnly(
+      true, obs.metrics != nullptr
+                ? obs.metrics->GetHistogram("curves.cells_per_run")
+                : nullptr);
+  uint64_t total_runs = 0;
+  for (const uint64_t i : wanted) {
+    const QueryClass cls = lat.ClassAt(i);
+    uint64_t class_fragments;
+    if (lin.ClassRunsDegenerate(cls)) {
+      // Every run is one cell and the class's queries tile the grid, so the
+      // fragment total is num_cells() — no need to emit anything.
+      class_fragments = cells;
+    } else {
+      lin.AppendClassRuns(cls, counter);
+      counter->EndClass();
+      class_fragments = counter->num_runs();
+    }
+    costs->fragments[i] = class_fragments;
+    costs->queries[i] = NumQueriesInClass(schema, cls);
+    costs->known[i] = 1;
+    total_runs += class_fragments;
+  }
+  counter->SetCountOnly(false);
+  if (obs.metrics != nullptr) {
+    obs.metrics->GetCounter("curves.runs_emitted")->Inc(total_runs);
+  }
+  return true;
+}
+
 double MeasureExpectedCost(const Workload& mu, const Linearization& lin,
                            const ObsSink& obs, CostEvalMode mode,
                            RunArena* arena) {
   ScopedSpan span(obs.tracer, "cost/measure", "cost");
   span.AddArg("strategy", lin.name());
-  const bool use_runs =
-      mode == CostEvalMode::kRankRuns ||
-      (mode == CostEvalMode::kAuto && lin.HasRunDecomposition() &&
-       NonZeroQueries(mu, lin.schema(), lin.num_cells()) <= lin.num_cells());
-  span.AddArg("mode", use_runs ? "rank-runs" : "edge-walk");
-  if (use_runs) {
-    RunArena local;
-    return ExpectedCost(
-        mu, RunCountClassCosts(mu, lin, obs, arena != nullptr ? arena : &local));
+  const QueryClassLattice& lat = mu.lattice();
+  std::vector<uint64_t> wanted;
+  for (uint64_t i = 0; i < lat.size(); ++i) {
+    if (mu.probability_at(i) != 0.0) wanted.push_back(i);
   }
-  if (obs.metrics != nullptr) {
-    obs.metrics->GetCounter("cost.cells_scanned")->Inc(lin.num_cells());
-  }
-  return ExpectedCost(mu, MeasureClassCosts(lin));
+  ClassCosts costs(lat.size());
+  const bool runs = FillClassCosts(lin, lat, wanted, obs, mode, arena, &costs);
+  span.AddArg("mode", runs ? "rank-runs" : "edge-walk");
+  return ExpectedCost(mu, costs);
 }
 
 }  // namespace snakes

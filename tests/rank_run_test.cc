@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/advisor.h"
+#include "cost/edge_model.h"
 #include "cost/workload_cost.h"
 #include "curves/hilbert.h"
 #include "curves/linearization.h"
@@ -23,10 +25,12 @@
 #include "hierarchy/star_schema.h"
 #include "lattice/grid_query.h"
 #include "lattice/workload.h"
+#include "obs/metrics.h"
 #include "storage/chunks.h"
 #include "storage/executor.h"
 #include "storage/fact_table.h"
 #include "storage/pager.h"
+#include "tpcd/schema.h"
 #include "util/rng.h"
 
 namespace snakes {
@@ -551,6 +555,129 @@ TEST_P(RankRunRandomizedTest, ExpectedCostMatchesEdgeWalk) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RankRunRandomizedTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------------
+// Count-only emission: the class-cost fill counts each query's runs instead
+// of storing them. On every class of every built-in strategy it must give
+// full emission's run counts, per query and per class, and store no runs.
+
+/// Every candidate the advisor plans from the built-in registry on `schema`.
+std::vector<std::shared_ptr<const Linearization>> BuiltInStrategies(
+    std::shared_ptr<const StarSchema> schema) {
+  const ClusteringAdvisor advisor(schema);
+  const QueryClassLattice lat(*schema);
+  const auto plan = advisor.Plan(EvaluationRequest{Workload::Uniform(lat)});
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<std::shared_ptr<const Linearization>> strategies;
+  if (!plan.ok()) return strategies;
+  for (const PlannedStrategy& s : plan.value().strategies) {
+    strategies.push_back(s.linearization);
+  }
+  return strategies;
+}
+
+void CheckCountOnlyEmission(const Linearization& lin) {
+  const StarSchema& schema = lin.schema();
+  const QueryClassLattice lat(schema);
+  RunArena full;
+  RunArena counted;
+  std::vector<uint64_t> all_classes;
+  for (uint64_t i = 0; i < lat.size(); ++i) {
+    // Degenerate classes too: emitted here, though the fill closes them.
+    const QueryClass cls = lat.ClassAt(i);
+    all_classes.push_back(i);
+    lin.AppendClassRuns(cls, &full);
+    uint64_t cells = 0;
+    for (size_t r = 0; r < full.num_runs(); ++r) cells += full.run(r).len;
+
+    MetricsRegistry metrics;
+    Histogram* run_lengths = metrics.GetHistogram("run_lengths");
+    counted.SetCountOnly(true, run_lengths);
+    lin.AppendClassRuns(cls, &counted);
+    counted.EndClass();
+    counted.SetCountOnly(false);
+
+    ASSERT_EQ(counted.num_runs(), full.num_runs())
+        << lin.name() << " " << cls.ToString();
+    ASSERT_EQ(counted.num_queries(), full.num_queries()) << lin.name();
+    for (uint64_t q = 0; q < full.num_queries(); ++q) {
+      ASSERT_EQ(counted.query_run_count(q), full.query_run_count(q))
+          << lin.name() << " " << cls.ToString() << " query " << q;
+    }
+    // Every coalesced run reaches the histogram once, at its full length.
+    EXPECT_EQ(run_lengths->count(), full.num_runs()) << lin.name();
+    EXPECT_EQ(run_lengths->sum(), cells) << lin.name();
+    EXPECT_EQ(counted.run_capacity(), 0u) << lin.name();
+  }
+
+  // The producer's run path on a fresh arena: the same per-class fragment
+  // totals as the edge model, and the arena still holds no run storage.
+  RunArena arena;
+  ClassCosts costs(lat.size());
+  EXPECT_TRUE(FillClassCosts(lin, lat, all_classes, {},
+                             CostEvalMode::kRankRuns, &arena, &costs));
+  EXPECT_EQ(arena.run_capacity(), 0u) << lin.name();
+  const ClassCostTable table = MeasureClassCosts(lin);
+  for (uint64_t i = 0; i < lat.size(); ++i) {
+    const QueryClass cls = lat.ClassAt(i);
+    EXPECT_TRUE(costs.known[i]);
+    EXPECT_EQ(costs.fragments[i], table.TotalFragments(cls))
+        << lin.name() << " " << cls.ToString();
+    EXPECT_EQ(costs.queries[i], table.NumQueries(cls)) << lin.name();
+  }
+}
+
+TEST(RankRunCountOnlyTest, ToySchemasEveryBuiltInStrategy) {
+  for (const uint64_t fanout : {2, 3}) {
+    auto schema =
+        std::make_shared<StarSchema>(StarSchema::Symmetric(2, 2, fanout)
+                                         .value());
+    const auto strategies = BuiltInStrategies(schema);
+    ASSERT_FALSE(strategies.empty());
+    for (const auto& lin : strategies) CheckCountOnlyEmission(*lin);
+  }
+}
+
+TEST(RankRunCountOnlyTest, TpcdEveryBuiltInStrategy) {
+  auto schema = tpcd::BuildSharedSchema(tpcd::Config{}).value();
+  const auto strategies = BuiltInStrategies(schema);
+  ASSERT_GE(strategies.size(), 8u);
+  for (const auto& lin : strategies) CheckCountOnlyEmission(*lin);
+}
+
+/// With metrics attached the fill records curves.cells_per_run from counted
+/// runs, one sample per run of every non-degenerate class, and still stores
+/// no runs.
+TEST(RankRunCountOnlyTest, FillRecordsRunLengthsWithoutStoringRuns) {
+  auto schema = tpcd::BuildSharedSchema(tpcd::Config{}).value();
+  const QueryClassLattice lat(*schema);
+  for (const auto& lin : BuiltInStrategies(schema)) {
+    std::vector<uint64_t> classes;
+    uint64_t runs = 0;
+    uint64_t cells = 0;
+    RunArena full;
+    for (uint64_t i = 0; i < lat.size(); ++i) {
+      const QueryClass cls = lat.ClassAt(i);
+      if (lin->ClassRunsDegenerate(cls)) continue;
+      classes.push_back(i);
+      lin->AppendClassRuns(cls, &full);
+      runs += full.num_runs();
+      cells += lin->num_cells();
+    }
+    MetricsRegistry metrics;
+    RunArena arena;
+    ClassCosts costs(lat.size());
+    FillClassCosts(*lin, lat, classes, {&metrics, nullptr},
+                   CostEvalMode::kRankRuns, &arena, &costs);
+    const MetricsSnapshot snap = metrics.Snapshot();
+    EXPECT_EQ(snap.counter("curves.runs_emitted"), runs) << lin->name();
+    EXPECT_EQ(snap.histogram("curves.cells_per_run").count, runs)
+        << lin->name();
+    EXPECT_EQ(snap.histogram("curves.cells_per_run").sum, cells)
+        << lin->name();
+    EXPECT_EQ(arena.run_capacity(), 0u) << lin->name();
+  }
+}
 
 }  // namespace
 }  // namespace snakes

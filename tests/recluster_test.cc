@@ -12,6 +12,7 @@
 #include "cost/workload_cost.h"
 #include "curves/row_major.h"
 #include "hierarchy/star_schema.h"
+#include "lattice/grid_query.h"
 #include "lattice/workload.h"
 #include "lattice/workload_delta.h"
 #include "obs/metrics.h"
@@ -22,6 +23,8 @@
 #include "recluster/movement.h"
 #include "storage/fact_table.h"
 #include "storage/pager.h"
+#include "tpcd/schema.h"
+#include "tpcd/workloads.h"
 #include "util/rng.h"
 
 namespace snakes {
@@ -256,6 +259,139 @@ TEST(ClassCostCacheTest, ClearDropsEverything) {
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.NumStrategies(), 0u);
+}
+
+// The cached fill applies the same queries-vs-cells break-even as the
+// uncached one, weighed over the classes it must measure: on each side of it
+// an empty cache takes the uncached path and gives the same bits.
+
+/// The advisor's built-in candidates on the paper's TPC-D grid.
+std::vector<std::shared_ptr<const Linearization>> TpcdStrategies(
+    const std::shared_ptr<const StarSchema>& schema) {
+  const ClusteringAdvisor advisor(schema);
+  const auto plan = advisor.Plan(
+      EvaluationRequest{Workload::Uniform(QueryClassLattice(*schema))});
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<std::shared_ptr<const Linearization>> strategies;
+  for (const PlannedStrategy& s : plan.value().strategies) {
+    strategies.push_back(s.linearization);
+  }
+  return strategies;
+}
+
+struct FillPath {
+  uint64_t cells_scanned = 0;
+  uint64_t runs_emitted = 0;
+};
+
+FillPath PathOf(const MetricsRegistry& metrics) {
+  const MetricsSnapshot snap = metrics.Snapshot();
+  return {snap.counter("cost.cells_scanned"),
+          snap.counter("curves.runs_emitted")};
+}
+
+TEST(ClassCostCacheTest, EmptyCacheTakesTheUncachedPathAcrossTheBreakEven) {
+  auto schema = tpcd::BuildSharedSchema(tpcd::Config{}).value();
+  const QueryClassLattice lat(*schema);
+  const uint64_t cells = schema->num_cells();
+  // Under the break-even: the coarsest classes while their queries fit in
+  // the cells. Over it: every class (the finest alone holds `cells`).
+  std::vector<QueryClass> coarse;
+  uint64_t queries = 0;
+  for (uint64_t i = lat.size(); i-- > 0;) {
+    const QueryClass cls = lat.ClassAt(i);
+    if (queries + NumQueriesInClass(*schema, cls) > cells) break;
+    queries += NumQueriesInClass(*schema, cls);
+    coarse.push_back(cls);
+  }
+  ASSERT_GE(coarse.size(), 2u);
+  const Workload under = Workload::UniformOver(lat, coarse).value();
+  const Workload over = Workload::Uniform(lat);
+
+  for (const auto& lin : TpcdStrategies(schema)) {
+    for (const bool is_under : {true, false}) {
+      const Workload& mu = is_under ? under : over;
+      MetricsRegistry uncached_metrics;
+      MetricsRegistry cached_metrics;
+      ClassCostCache cache;
+      const double uncached =
+          MeasureExpectedCost(mu, *lin, {&uncached_metrics, nullptr});
+      const double cached = MeasureExpectedCostCached(
+          mu, *lin, &cache, {&cached_metrics, nullptr});
+      EXPECT_TRUE(SameBits(uncached, cached)) << lin->name();
+
+      const bool runs = is_under && lin->HasRunDecomposition();
+      const FillPath u = PathOf(uncached_metrics);
+      const FillPath c = PathOf(cached_metrics);
+      EXPECT_EQ(u.cells_scanned, runs ? 0u : cells) << lin->name();
+      EXPECT_EQ(u.runs_emitted > 0, runs) << lin->name();
+      EXPECT_EQ(c.cells_scanned, u.cells_scanned) << lin->name();
+      EXPECT_EQ(c.runs_emitted, u.runs_emitted) << lin->name();
+    }
+  }
+}
+
+TEST(ClassCostCacheTest, PartlyFilledCacheWeighsOnlyTheMissingClasses) {
+  auto schema = tpcd::BuildSharedSchema(tpcd::Config{}).value();
+  const QueryClassLattice lat(*schema);
+  // Bottom alone holds exactly `cells` queries (run path); bottom plus top
+  // holds one more (edge walk uncached), but once bottom is cached only
+  // top's single query is missing, which falls under the break-even.
+  const Workload bottom = Workload::Point(lat, lat.Bottom()).value();
+  const Workload both =
+      Workload::UniformOver(lat, {lat.Bottom(), lat.Top()}).value();
+  for (const auto& lin : TpcdStrategies(schema)) {
+    if (!lin->HasRunDecomposition()) continue;
+    ClassCostCache cache;
+    MeasureExpectedCostCached(bottom, *lin, &cache);
+    MetricsRegistry metrics;
+    const double cached =
+        MeasureExpectedCostCached(both, *lin, &cache, {&metrics, nullptr});
+    const FillPath path = PathOf(metrics);
+    EXPECT_EQ(path.cells_scanned, 0u) << lin->name();
+    EXPECT_GT(path.runs_emitted, 0u) << lin->name();
+    EXPECT_EQ(cache.stats().misses, 2u) << lin->name();
+    EXPECT_EQ(cache.stats().hits, 1u) << lin->name();
+
+    MetricsRegistry uncached_metrics;
+    EXPECT_TRUE(SameBits(cached, MeasureExpectedCost(
+                                     both, *lin,
+                                     {&uncached_metrics, nullptr})))
+        << lin->name();
+    EXPECT_EQ(PathOf(uncached_metrics).cells_scanned, schema->num_cells())
+        << lin->name();
+  }
+}
+
+/// The bench/micro_incremental_advise set-up: the cold incremental advise
+/// still costs every non-zero class of every candidate once (144 misses),
+/// agrees with a fresh Advise, and the drifted re-advise is all hits.
+TEST(ClassCostCacheTest, ColdIncrementalAdviseMissesEveryClassOnce) {
+  auto schema = tpcd::BuildSharedSchema(tpcd::Config{}).value();
+  const QueryClassLattice lat(*schema);
+  const ClusteringAdvisor advisor(schema);
+  const Workload base = tpcd::SectionSixWorkload(lat, 7).value();
+  const Workload target = tpcd::SectionSixWorkload(lat, 21).value();
+  std::vector<double> p(base.size());
+  for (uint64_t i = 0; i < base.size(); ++i) {
+    p[i] = 0.9 * base.probability_at(i) + 0.1 * target.probability_at(i);
+  }
+  const Workload drifted =
+      Workload::FromDense(lat, std::move(p), /*normalize=*/true).value();
+
+  IncrementalAdvisorState state;
+  const Recommendation cold =
+      advisor.AdviseIncremental(EvaluationRequest{base}, &state).value();
+  EXPECT_EQ(state.last_cost_evaluations, 144u);
+  EXPECT_TRUE(BitIdenticalRecommendations(
+      cold, advisor.Advise(EvaluationRequest{base}).value()));
+
+  const Recommendation warm =
+      advisor.AdviseIncremental(EvaluationRequest{drifted}, &state).value();
+  EXPECT_EQ(state.last_cost_evaluations, 0u);
+  EXPECT_EQ(state.last_cost_hits, 144u);
+  EXPECT_TRUE(BitIdenticalRecommendations(
+      warm, advisor.Advise(EvaluationRequest{drifted}).value()));
 }
 
 // ---------------------------------------------------------------------------

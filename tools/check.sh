@@ -158,6 +158,33 @@ print("micropartition bench ok: %d partitions, %.1f%% pruned" %
       (d["partitions"], 100.0 * d["restricted_pruned_fraction"]))
 EOF
 
+# Incremental-advise guard: after a 10% drift the warm re-advise must cost
+# >= 5x fewer class-cost evaluations than the cold one and recommend
+# bit-identically to a fresh Advise; the cold incremental advise fills an
+# empty cost cache through the same class-cost producer as a fresh Advise,
+# so its median time (9 repetitions after one warm-up) must stay within
+# 1.2x of the fresh one. The binary SNAKES_CHECKs both bounds; python
+# re-checks the artifact and its host stamp.
+echo "==> [incremental-advise] bench"
+COMMIT="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+(cd "$ROOT/build-release" && ./bench/micro_incremental_advise \
+  --commit "$COMMIT" > /dev/null)
+python3 - "$ROOT/build-release/BENCH_incremental_advise.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["bench"] == "incremental_advise"
+assert d["bit_identical"] is True, "warm re-advise diverged from fresh"
+assert d["evaluation_ratio"] >= d["required_ratio"]
+assert d["repetitions"] >= 5 and len(d["cold_ms_runs"]) == d["repetitions"]
+assert d["cold_fresh_ratio"] <= d["allowed_cold_fresh_ratio"], \
+    "cold incremental advise %.2fx a fresh one" % d["cold_fresh_ratio"]
+for key in ("nproc", "build_type", "commit"):
+    assert key in d["host"], "host stamp missing " + key
+print("incremental advise ok: cold/fresh %.2fx, %d cold vs %d warm evals" %
+      (d["cold_fresh_ratio"], d["cold_cost_evaluations"],
+       d["warm_cost_evaluations"]))
+EOF
+
 # Calibration smoke: the measured-cost loop end to end. calibrate_cost
 # sweeps real file_store executions on a small TPC-D warehouse, fits the
 # linear time model in-repo, and writes both artifacts; python validates the

@@ -4,6 +4,10 @@
 //               [--seed S] [--out PATH] [--backend packed|micropartition]
 //               [--telemetry PATH]
 //
+// `--help` prints the usage and exits 0. An unknown flag, a flag without a
+// value, or a number that is not a whole non-negative integer exits 2 with
+// a message before anything runs.
+//
 // Registers N tenants (N >= 8 in the guard configuration), then drives two
 // phases against the service:
 //
@@ -36,11 +40,13 @@
 // recorder, per-tenant SLO windows, recluster audit log — is also dumped
 // standalone to PATH for the check.sh exposition/consistency validators.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -70,12 +76,66 @@ int Fail(const Status& status) {
   return 1;
 }
 
-std::string FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+constexpr char kUsage[] =
+    "usage: service_sim [--tenants N] [--requests N] [--threads T] "
+    "[--rounds R]\n"
+    "                   [--seed S] [--out PATH] "
+    "[--backend packed|micropartition]\n"
+    "                   [--telemetry PATH]\n";
+
+struct Flags {
+  uint64_t tenants = 8;
+  uint64_t requests = 4000;
+  uint64_t threads = 2;
+  uint64_t rounds = 6;
+  uint64_t seed = 1999;
+  std::string out_path = "BENCH_service_throughput.json";
+  std::string telemetry_path;
+  std::string backend = "packed";
+  bool help = false;
+};
+
+/// Strict command line: every flag takes a value, numbers must be whole
+/// non-negative integers (counts at most INT_MAX), and anything else is an
+/// error message (empty on success). `--help` stops parsing.
+std::string ParseFlags(int argc, char** argv, Flags* flags) {
+  constexpr uint64_t kCountMax = std::numeric_limits<int>::max();
+  const std::map<std::string, std::pair<uint64_t*, uint64_t>> numbers = {
+      {"--tenants", {&flags->tenants, kCountMax}},
+      {"--requests", {&flags->requests, kCountMax}},
+      {"--threads", {&flags->threads, kCountMax}},
+      {"--rounds", {&flags->rounds, kCountMax}},
+      {"--seed", {&flags->seed, UINT64_MAX}}};
+  const std::map<std::string, std::string*> texts = {
+      {"--out", &flags->out_path},
+      {"--telemetry", &flags->telemetry_path},
+      {"--backend", &flags->backend}};
+  for (int i = 1; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (flag == "--help" || flag == "-h") {
+      flags->help = true;
+      return "";
+    }
+    const auto number = numbers.find(flag);
+    const auto text = texts.find(flag);
+    if (number == numbers.end() && text == texts.end()) {
+      return "unknown flag " + flag;
+    }
+    if (i + 1 >= argc) return flag + " needs a value";
+    const std::string value = argv[i + 1];
+    if (text != texts.end()) {
+      *text->second = value;
+      continue;
+    }
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end,
+                                           *number->second.first);
+    if (ec != std::errc() || ptr != end ||
+        *number->second.first > number->second.second) {
+      return flag + " takes a non-negative integer, got '" + value + "'";
+    }
   }
-  return fallback;
+  return "";
 }
 
 std::shared_ptr<const FactTable> RandomFacts(
@@ -99,21 +159,24 @@ Workload RoundWorkload(const QueryClassLattice& lat, int round) {
 }
 
 int Run(int argc, char** argv) {
-  const int tenants =
-      std::atoi(FlagValue(argc, argv, "--tenants", "8").c_str());
-  const int requests =
-      std::atoi(FlagValue(argc, argv, "--requests", "4000").c_str());
-  const int threads =
-      std::atoi(FlagValue(argc, argv, "--threads", "2").c_str());
-  const int rounds = std::atoi(FlagValue(argc, argv, "--rounds", "6").c_str());
-  const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "1999").c_str()));
-  const std::string out_path =
-      FlagValue(argc, argv, "--out", "BENCH_service_throughput.json");
-  const std::string telemetry_path =
-      FlagValue(argc, argv, "--telemetry", "");
-  auto backend_kind =
-      ParseStorageBackendKind(FlagValue(argc, argv, "--backend", "packed"));
+  Flags flags;
+  const std::string flag_error = ParseFlags(argc, argv, &flags);
+  if (flags.help) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
+  if (!flag_error.empty()) {
+    std::fprintf(stderr, "error: %s\n%s", flag_error.c_str(), kUsage);
+    return 2;
+  }
+  const int tenants = static_cast<int>(flags.tenants);
+  const int requests = static_cast<int>(flags.requests);
+  const int threads = static_cast<int>(flags.threads);
+  const int rounds = static_cast<int>(flags.rounds);
+  const uint64_t seed = flags.seed;
+  const std::string& out_path = flags.out_path;
+  const std::string& telemetry_path = flags.telemetry_path;
+  auto backend_kind = ParseStorageBackendKind(flags.backend);
   if (!backend_kind.ok()) return Fail(backend_kind.status());
   if (tenants < 1) return Fail(Status::InvalidArgument("--tenants >= 1"));
 
