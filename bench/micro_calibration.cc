@@ -47,14 +47,8 @@ struct StrategyTiming {
 };
 
 void Run() {
-  tpcd::Config config;
-  config.parts_per_mfgr = 4;
-  config.num_mfgrs = 3;
-  config.num_suppliers = 4;
-  config.months_per_year = 6;
-  config.num_years = 2;
-  config.num_orders = 4'000;
-  const auto warehouse = tpcd::GenerateWarehouse(config).ValueOrDie();
+  const auto warehouse =
+      tpcd::GenerateWarehouse(tpcd::Config::Small(4'000)).ValueOrDie();
   const ClusteringAdvisor advisor(warehouse.schema);
   const Workload uniform = Workload::Uniform(advisor.Lattice());
 

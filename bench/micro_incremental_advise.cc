@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -35,6 +34,7 @@
 #include "lattice/workload.h"
 #include "lattice/workload_delta.h"
 #include "obs/metrics.h"
+#include "tools/flags.h"
 #include "tpcd/schema.h"
 #include "tpcd/workloads.h"
 #include "util/logging.h"
@@ -199,12 +199,9 @@ void Run(const std::string& commit) {
 
 int main(int argc, char** argv) {
   std::string commit = "unknown";
-  if (argc == 3 && std::strcmp(argv[1], "--commit") == 0) {
-    commit = argv[2];
-  } else if (argc != 1) {
-    std::fprintf(stderr, "usage: micro_incremental_advise [--commit REV]\n");
-    return 2;
-  }
+  snakes::FlagSet flags("micro_incremental_advise");
+  flags.Text("--commit", &commit, "revision recorded in the host stamp");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
   snakes::Run(commit);
   return 0;
 }

@@ -3,7 +3,7 @@
 // candidate strategy is an independent scoring task, so the pooled run
 // should approach min(strategies, threads)-way speedup on sufficient cores.
 //
-//   $ ./micro_parallel_advise [threads]   (default 4)
+//   $ ./micro_parallel_advise [--threads N]   (default 4; 0 = all cores)
 //
 // Emits BENCH_parallel_advise.json (in the working directory) to seed the
 // perf trajectory, and prints the same numbers as a table.
@@ -19,6 +19,7 @@
 #include "core/evaluation.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "tools/flags.h"
 #include "util/logging.h"
 #include "util/text_table.h"
 #include "util/thread_pool.h"
@@ -44,9 +45,9 @@ double AdviseWallMs(const ClusteringAdvisor& advisor, const Workload& mu,
 }
 
 void Run(int threads) {
-  // 0 (or a non-numeric argv) means hardware concurrency, matching
-  // EvaluationRequest::num_threads semantics.
-  if (threads <= 0) threads = ThreadPool::DefaultThreads();
+  // 0 means hardware concurrency, matching EvaluationRequest::num_threads
+  // semantics.
+  if (threads == 0) threads = ThreadPool::DefaultThreads();
   std::printf(
       "parallel Advise on the Table-3 fanout-sweep schemas "
       "(serial vs %d-thread pool; %d hardware thread(s))\n\n",
@@ -126,7 +127,10 @@ void Run(int threads) {
 }  // namespace snakes
 
 int main(int argc, char** argv) {
-  const int threads = argc > 1 ? std::atoi(argv[1]) : 4;
+  int threads = 4;
+  snakes::FlagSet flags("micro_parallel_advise");
+  flags.Int("--threads", &threads, "pooled-run threads (0: all cores)");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
   snakes::Run(threads);
   return 0;
 }

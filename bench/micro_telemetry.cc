@@ -93,18 +93,6 @@ double TelemetryNsPerRequest() {
   return ns / static_cast<double>(kIters);
 }
 
-std::shared_ptr<const FactTable> RandomFacts(
-    const std::shared_ptr<const StarSchema>& schema, Rng* rng) {
-  auto facts = std::make_shared<FactTable>(schema);
-  for (CellId id = 0; id < schema->num_cells(); ++id) {
-    const uint64_t records = 2 + rng->Below(3);
-    for (uint64_t r = 0; r < records; ++r) {
-      facts->AddRecord(schema->Unflatten(id), rng->NextDouble());
-    }
-  }
-  return facts;
-}
-
 /// Wall ns per request of the batched mixed workload (service_sim's phase 1
 /// shape) against a live service (recorder enabled — it always is).
 /// Best-of-`reps`.
@@ -127,7 +115,7 @@ double RequestNsMixed(int reps, uint64_t* out_requests) {
     TenantSpec spec;
     spec.name = "t";
     spec.schema = schema;
-    spec.facts = RandomFacts(schema, &rng);
+    spec.facts = FactTable::Random(schema, 2, 4, &rng);
     const TenantId id = service.RegisterTenant(std::move(spec)).ValueOrDie();
 
     const Workload sampler = Workload::Uniform(lat);

@@ -151,4 +151,11 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return out.str();
 }
 
+Status WriteStringToFile(const std::string& path, std::string_view content) {
+  std::ofstream out(path, std::ios::binary);
+  out << content;
+  out.flush();
+  return out ? Status::OK() : Status::Internal("failed to write " + path);
+}
+
 }  // namespace snakes

@@ -37,6 +37,9 @@ Result<Workload> ParseWorkloadSpec(const QueryClassLattice& lattice,
 /// Reads a whole file into a string.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// Writes `content` as the whole file at `path`, replacing it.
+Status WriteStringToFile(const std::string& path, std::string_view content);
+
 }  // namespace snakes
 
 #endif  // SNAKES_CORE_SPEC_H_

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "lattice/lattice.h"
+#include "obs/metrics.h"
 #include "storage/executor.h"
 #include "storage/file_store.h"
 #include "storage/pager.h"
@@ -19,12 +20,6 @@
 namespace snakes {
 
 namespace {
-
-std::string JsonNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Owns the sweep's scratch file: resolves the default path (unique per
 /// process and sweep, so concurrent sweeps never share a file) and removes

@@ -2,24 +2,17 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace snakes {
 
 namespace {
-
-/// Full-precision double text (17 significant digits survive a parse
-/// round-trip, which the coefficients JSON depends on).
-std::string JsonNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // ---- Minimal strict JSON scanner (objects of numbers / nested objects) ----
 //
@@ -201,9 +194,9 @@ Result<CostModelKind> ParseCostModelKind(std::string_view name) {
 std::string AnalyticDiskModel::ToJson() const {
   std::string out = "{\"model\": \"";
   out += CostModelKindName(kind_);
-  out += "\", \"seek_ms\": " + JsonNumber(disk_.seek_ms) +
-         ", \"transfer_bytes_per_ms\": " +
-         JsonNumber(disk_.transfer_bytes_per_ms) + "}";
+  out += "\", \"seek_ms\": " + JsonNumber(seek_ms_) +
+         ", \"transfer_bytes_per_ms\": " + JsonNumber(transfer_bytes_per_ms_) +
+         "}";
   return out;
 }
 
@@ -271,20 +264,22 @@ Result<CalibratedLinearModel> CalibratedLinearModel::FromJson(
 Result<std::shared_ptr<const CostModel>> MakeCostModel(CostModelKind kind) {
   switch (kind) {
     case CostModelKind::kAnalytic:
+      // A late-90s server drive, so the examples' numbers line up with
+      // the paper's era.
       return std::shared_ptr<const CostModel>(
-          std::make_shared<AnalyticDiskModel>(CostModelKind::kAnalytic,
-                                              "analytic", DiskModel{}));
+          std::make_shared<AnalyticDiskModel>(
+              CostModelKind::kAnalytic, "analytic", 9.5, 15'000.0));
     case CostModelKind::kHdd:
       // A current 7200rpm drive: ~8 ms average positioning, ~160 MB/s
       // sustained sequential transfer.
       return std::shared_ptr<const CostModel>(
           std::make_shared<AnalyticDiskModel>(
-              CostModelKind::kHdd, "hdd", DiskModel{8.0, 160'000.0}));
+              CostModelKind::kHdd, "hdd", 8.0, 160'000.0));
     case CostModelKind::kSsd:
       // NVMe flash: positioning nearly free, ~2 GB/s transfer.
       return std::shared_ptr<const CostModel>(
           std::make_shared<AnalyticDiskModel>(
-              CostModelKind::kSsd, "ssd", DiskModel{0.05, 2'000'000.0}));
+              CostModelKind::kSsd, "ssd", 0.05, 2'000'000.0));
     case CostModelKind::kCalibrated:
       return Status::InvalidArgument(
           "calibrated cost model needs fitted coefficients (use "

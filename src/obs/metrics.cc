@@ -198,10 +198,6 @@ std::string MetricsSnapshot::ToTable() const {
   return out;
 }
 
-namespace {
-
-/// Shortest round-trippable representation (%.17g trims trailing digits for
-/// representable values like 0.5); JSON has no Inf/NaN, clamp to null.
 std::string JsonNumber(double v) {
   if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "null";
   char buf[64];
@@ -218,8 +214,6 @@ std::string JsonNumber(double v) {
   }
   return buf;
 }
-
-}  // namespace
 
 std::string MetricsSnapshot::ToJson(bool pretty) const {
   const char* nl = pretty ? "\n" : "";

@@ -141,6 +141,10 @@ class MetricsRegistry {
 /// control characters). Shared by the metrics and trace serializers.
 std::string JsonEscape(std::string_view s);
 
+/// Shortest text that parses back to exactly `v` (at most 17 significant
+/// digits); JSON has no Inf/NaN, so non-finite values become null.
+std::string JsonNumber(double v);
+
 }  // namespace snakes
 
 #endif  // SNAKES_OBS_METRICS_H_

@@ -114,50 +114,6 @@ QueryIo IoSimulator::Measure(const GridQuery& query,
   return io;
 }
 
-QueryIo IoSimulator::MeasureCellWalk(const GridQuery& query) const {
-  const Linearization& lin = backend_.linearization();
-  const StarSchema& schema = lin.schema();
-  const CellBox box = BoxOf(schema, query);
-
-  // Collect the ranks of the query's cells, then scan them in order.
-  std::vector<uint64_t> ranks;
-  ranks.reserve(box.NumCells());
-  CellCoord coord = box.lo;
-  const int k = schema.num_dims();
-  for (;;) {
-    ranks.push_back(lin.RankOf(coord));
-    int d = k - 1;
-    for (; d >= 0; --d) {
-      if (++coord[static_cast<size_t>(d)] < box.hi[static_cast<size_t>(d)]) {
-        break;
-      }
-      coord[static_cast<size_t>(d)] = box.lo[static_cast<size_t>(d)];
-    }
-    if (d < 0) break;
-  }
-  std::sort(ranks.begin(), ranks.end());
-
-  RunState run;
-  for (uint64_t rank : ranks) {
-    if (backend_.CellEmpty(rank)) continue;
-    run.Add(backend_.CellFirstPage(rank), backend_.CellLastPage(rank),
-            backend_.CellRecords(rank), run_length_);
-  }
-  QueryIo io;
-  io.records = run.records;
-  io.pages = run.pages;
-  io.seeks = run.seeks;
-  io.min_pages = CeilDiv(CheckedMul(run.records, backend_.config().record_size_bytes),
-                         backend_.config().page_size_bytes);
-  if (run_length_ != nullptr) run.CloseRun(run_length_);
-  if (pages_read_ != nullptr) {
-    pages_read_->Inc(io.pages);
-    seeks_->Inc(io.seeks);
-    cells_scanned_->Inc(ranks.size());
-  }
-  return io;
-}
-
 ClassIoStats IoSimulator::MeasureClass(const QueryClass& cls) const {
   const Linearization& lin = backend_.linearization();
   // Intervals pay off when each query covers many cells; at the fine end

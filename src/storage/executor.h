@@ -52,7 +52,7 @@ struct ClassIoStats {
 };
 
 /// Expected I/O of a layout under a workload (the Table-4 metrics, plus the
-/// raw page expectation used by the DiskModel time estimate).
+/// raw page expectation the CostModel time estimates price).
 struct WorkloadIoStats {
   double expected_seeks = 0.0;
   double expected_normalized_blocks = 0.0;
@@ -65,11 +65,10 @@ struct WorkloadIoStats {
 /// Queries are evaluated interval-first: the linearization decomposes the
 /// query box into rank runs (Linearization::AppendRuns) and each run's page
 /// footprint comes from StorageBackend::MeasureRange in O(1), so a query
-/// costs O(runs) instead of O(cells in box). The seed's cell-walk evaluators
-/// are kept as MeasureCellWalk / MeasureClassCellWalk — they are the
-/// reference the run path is property-tested against, and remain the better
-/// choice when queries are cell-sized (MeasureClass falls back
-/// automatically).
+/// costs O(runs) instead of O(cells in box). The seed's per-class cell walk
+/// is kept as MeasureClassCellWalk — the reference the run path is
+/// property-tested against, and the better choice when queries are
+/// cell-sized (MeasureClass falls back automatically).
 ///
 /// On partitioned backends the run paths first consult the zone maps
 /// (StorageBackend::PruneBox). Pruning is conservative, so measured QueryIo
@@ -80,8 +79,8 @@ struct WorkloadIoStats {
 ///
 /// With an ObsSink the simulator mirrors its measurements into the registry
 /// — storage.pages_read / storage.seeks counters on every path,
-/// storage.cells_scanned on the cell-walk paths, curves.runs_emitted and a
-/// curves.cells_per_run histogram on the run paths, plus a
+/// storage.cells_scanned on the class cell-walk path, curves.runs_emitted
+/// and a curves.cells_per_run histogram on the run paths, plus a
 /// storage.run_length_pages histogram of sequential-run lengths — and
 /// wraps MeasureAllClasses in a "storage/measure_all" span. Metric pointers
 /// are resolved once here, so the per-measurement cost is a null test.
@@ -103,10 +102,6 @@ class IoSimulator {
   /// unaffected. Wrapped in a "storage/measure" span when tracing, so a
   /// request's trace nests request -> verb -> storage.
   QueryIo Measure(const GridQuery& query, PruneStats* prune = nullptr) const;
-
-  /// I/O of one query by walking the query's cells in rank order. Reference
-  /// implementation; identical results to Measure on every layout.
-  QueryIo MeasureCellWalk(const GridQuery& query) const;
 
   /// Exact per-class aggregates. Uses the run decomposition query-by-query
   /// when the layout's strategy decomposes cheaply and the class is coarse

@@ -7,6 +7,7 @@
 
 #include "hierarchy/star_schema.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace snakes {
 
@@ -23,6 +24,22 @@ class FactTable {
         measure_sums_(schema_->num_cells(), 0.0),
         measure_mins_(schema_->num_cells(), 0.0),
         measure_maxs_(schema_->num_cells(), 0.0) {}
+
+  /// A dense synthetic table: every cell gets `min_records` to
+  /// `max_records` records with uniform random measures in [0, 1).
+  static std::shared_ptr<FactTable> Random(
+      const std::shared_ptr<const StarSchema>& schema, uint64_t min_records,
+      uint64_t max_records, Rng* rng) {
+    auto facts = std::make_shared<FactTable>(schema);
+    for (CellId id = 0; id < schema->num_cells(); ++id) {
+      const uint64_t n =
+          min_records + rng->Below(max_records - min_records + 1);
+      for (uint64_t r = 0; r < n; ++r) {
+        facts->AddRecord(schema->Unflatten(id), rng->NextDouble());
+      }
+    }
+    return facts;
+  }
 
   const StarSchema& schema() const { return *schema_; }
   std::shared_ptr<const StarSchema> schema_ptr() const { return schema_; }

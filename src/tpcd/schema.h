@@ -42,6 +42,10 @@ struct Config {
   /// default). An extension knob for sensitivity studies.
   double part_skew_theta = 0.0;
 
+  /// A CI-sized warehouse (12 parts, 4 suppliers, 12 months) of `orders`
+  /// orders: every strategy family measures in well under a second.
+  static Config Small(uint64_t orders) { return {4, 3, 4, 6, 2, orders}; }
+
   uint64_t num_parts() const { return parts_per_mfgr * num_mfgrs; }
   uint64_t num_months() const { return months_per_year * num_years; }
 };

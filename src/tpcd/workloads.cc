@@ -39,8 +39,6 @@ std::vector<double> RampProbabilities(int num_levels, Ramp ramp) {
 
 namespace {
 
-constexpr int kNumWorkloads = 27;
-
 Ramp RampOfCode(int code) {
   switch (code) {
     case 0:

@@ -25,6 +25,9 @@ enum class Ramp {
 /// ramp for other level counts.
 std::vector<double> RampProbabilities(int num_levels, Ramp ramp);
 
+/// Number of Section-6 workloads; ids run 1..kNumWorkloads.
+constexpr int kNumWorkloads = 27;
+
 /// One of the paper's 27 product-form workloads over a 3-dimensional
 /// lattice. Ids run 1..27 as
 ///   id = 1 + 9 * ramp(parts) + 3 * ramp(supplier) + ramp(time)

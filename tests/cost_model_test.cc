@@ -5,8 +5,6 @@
 #include <cmath>
 #include <fstream>
 
-#include "storage/disk_model.h"
-
 namespace snakes {
 namespace {
 
@@ -49,25 +47,65 @@ TEST(CostModelTest, FeaturesFromQueryIo) {
 }
 
 TEST(CostModelTest, AnalyticDefaultIsBitCompatibleWithDiskModel) {
-  // The kAnalytic model must reproduce the seed's DiskModel numbers
-  // bit-for-bit — same formula, same operation order.
+  // The kAnalytic model must reproduce the seed's disk-model numbers
+  // bit-for-bit — same constants, same formula, same operation order.
   const auto& model = DefaultCostModel();
   ASSERT_NE(model, nullptr);
   EXPECT_EQ(model->kind(), CostModelKind::kAnalytic);
-  const DiskModel disk;  // seed defaults
-  EXPECT_EQ(model->SeekMs(), disk.seek_ms);
+  const double seek_ms = 9.5;                  // seed defaults
+  const double transfer_bytes_per_ms = 15'000.0;
+  EXPECT_EQ(model->SeekMs(), seek_ms);
   for (const uint64_t page_size : {uint64_t{1024}, uint64_t{8192}}) {
     for (double seeks = 0.0; seeks < 40.0; seeks += 7.25) {
       for (double pages = 0.0; pages < 300.0; pages += 61.5) {
         CostFeatures f;
         f.seeks = seeks;
         f.pages = pages;
-        const double expected = disk.ExpectedMs(seeks, pages, page_size);
+        const double expected =
+            seeks * seek_ms +
+            pages * static_cast<double>(page_size) / transfer_bytes_per_ms;
         const double got = model->EstimateMs(f, page_size);
         EXPECT_EQ(got, expected) << seeks << " seeks, " << pages << " pages";
       }
     }
   }
+}
+
+TEST(DiskModelTest, QueryTimeDecomposes) {
+  // 10 ms seeks, one 8K page per ms.
+  const AnalyticDiskModel disk(CostModelKind::kAnalytic, "test", 10.0, 8192.0);
+  QueryIo io;
+  io.seeks = 3;
+  io.pages = 5;
+  EXPECT_DOUBLE_EQ(disk.QueryMs(io, 8192), 3 * 10.0 + 5 * 1.0);
+}
+
+TEST(DiskModelTest, ZeroIoIsFree) {
+  EXPECT_DOUBLE_EQ(DefaultCostModel()->QueryMs(QueryIo{}, 8192), 0.0);
+}
+
+TEST(DiskModelTest, ExpectedTimeMatchesComponents) {
+  const AnalyticDiskModel disk(CostModelKind::kAnalytic, "test", 5.0, 4096.0);
+  // 2 expected seeks, 10 expected pages of 8K: 10ms + 20ms.
+  WorkloadIoStats io;
+  io.expected_seeks = 2.0;
+  io.expected_pages = 10.0;
+  EXPECT_DOUBLE_EQ(disk.ExpectedMs(io, 8192), 10.0 + 20.0);
+}
+
+TEST(DiskModelTest, SeeksDominateScatteredIo) {
+  // The premise of the paper's seek-count objective: for scattered reads,
+  // positioning time swamps transfer time on rotating disks.
+  const CostModel& disk = *DefaultCostModel();  // 9.5 ms seek, 15 MB/s
+  QueryIo scattered;
+  scattered.seeks = 100;
+  scattered.pages = 100;  // one page per seek
+  QueryIo sequential;
+  sequential.seeks = 1;
+  sequential.pages = 100;
+  const double scattered_ms = disk.QueryMs(scattered, 8192);
+  const double sequential_ms = disk.QueryMs(sequential, 8192);
+  EXPECT_GT(scattered_ms, 10.0 * sequential_ms);
 }
 
 TEST(CostModelTest, DefaultCostModelIsAProcessSingleton) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cell_walk_oracle.h"
 #include "cost/edge_model.h"
 #include "curves/row_major.h"
 #include "hierarchy/hierarchy.h"
@@ -126,8 +127,7 @@ TEST_P(MicroPartitionDifferentialTest, QueryAnswersBitIdenticalAcrossBackends) {
       ExpectSameIo(a.io, b.io, ctx);
       ExpectSameIo(packed_sim.Measure(query), micro_sim.Measure(query), ctx);
       // The pruned run path agrees with the reference cell walk too.
-      ExpectSameIo(micro_sim.Measure(query), micro_sim.MeasureCellWalk(query),
-                   ctx);
+      ExpectSameIo(micro_sim.Measure(query), CellWalkIo(*micro, query), ctx);
     }
     // Class aggregates (the cost pipeline's inputs) match field by field.
     const ClassIoStats pa = packed_sim.MeasureClass(cls);

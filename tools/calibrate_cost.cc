@@ -1,10 +1,7 @@
-// calibrate_cost — fit the CostModel coefficients to measured executions.
+// snakes_cli calibrate — fit the CostModel coefficients to measured
+// executions.
 //
-//   calibrate_cost [--samples PATH] [--coefficients PATH]
-//                  [--queries N] [--reps N] [--seed S]
-//                  [--orders N] [--scratch PATH]
-//                  [--backends packed,micropartition]
-//                  [--features seeks,pages,...]
+//   snakes_cli calibrate [--flag value]...   (--help lists the flags)
 //
 // The in-repo calibration loop: generate a small TPC-D warehouse, plan the
 // registered strategy families on the uniform workload, sweep sampled
@@ -21,17 +18,17 @@
 // singular design matrix is an error, never NaN coefficients).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/advisor.h"
+#include "core/spec.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
 #include "lattice/workload.h"
+#include "tools/flags.h"
 #include "tpcd/dbgen.h"
 #include "util/result.h"
 #include "util/text_table.h"
@@ -39,62 +36,49 @@
 namespace snakes {
 namespace {
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-std::string FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
 std::vector<std::string> SplitCommas(const std::string& s) {
   std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t comma = s.find(',', start);
-    const std::string piece =
-        s.substr(start, comma == std::string::npos ? comma : comma - start);
+  std::istringstream in(s);
+  for (std::string piece; std::getline(in, piece, ',');) {
     if (!piece.empty()) out.push_back(piece);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
   return out;
 }
 
-int Run(int argc, char** argv) {
-  const std::string samples_path =
-      FlagValue(argc, argv, "--samples", "calibration_samples.json");
-  const std::string coefficients_path =
-      FlagValue(argc, argv, "--coefficients", "calibration_coefficients.json");
-  const int queries_per_class =
-      std::atoi(FlagValue(argc, argv, "--queries", "4").c_str());
-  const int repetitions =
-      std::atoi(FlagValue(argc, argv, "--reps", "3").c_str());
-  const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "19990601").c_str()));
-  const uint64_t orders = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--orders", "4000").c_str()));
-  const std::string scratch = FlagValue(argc, argv, "--scratch", "");
-  const std::vector<std::string> backend_names =
-      SplitCommas(FlagValue(argc, argv, "--backends", "packed"));
-  const std::vector<std::string> features =
-      SplitCommas(FlagValue(argc, argv, "--features", "seeks,pages"));
+}  // namespace
+
+int RunCalibrate(int argc, char** argv) {
+  std::string samples_path = "calibration_samples.json",
+              coefficients_path = "calibration_coefficients.json",
+              backends = "packed", feature_list = "seeks,pages";
+  uint64_t orders = 4000;
+  CalibrationSweepConfig sweep;  // its defaults are the flags' defaults
+  FlagSet flags("snakes_cli calibrate");
+  flags.Text("--samples", &samples_path, "raw samples JSON output");
+  flags.Text("--coefficients", &coefficients_path,
+             "fitted coefficients JSON output");
+  flags.Int("--queries", &sweep.queries_per_class,
+            "sampled queries per (strategy, backend, class)", 1);
+  flags.Int("--reps", &sweep.repetitions, "timed executions per query", 1);
+  flags.Uint64("--seed", &sweep.seed, "warehouse and query-sampling seed");
+  flags.Uint64("--orders", &orders, "TPC-D orders to generate");
+  flags.Text("--scratch", &sweep.scratch_path,
+             "scratch file for the sweep (default: a temp file)");
+  flags.Text("--backends", &backends, "comma-separated storage backends");
+  flags.Text("--features", &feature_list, "comma-separated fit features");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
+  const std::vector<std::string> features = SplitCommas(feature_list);
+  sweep.backends.clear();
+  for (const std::string& name : SplitCommas(backends)) {
+    auto kind = ParseStorageBackendKind(name);
+    if (!kind.ok()) return flags.UsageError(kind.status().message());
+    sweep.backends.push_back(kind.value());
+  }
 
   // Small warehouse: the sweep times thousands of real file reads, so the
   // default stays CI-sized while spanning every lattice class.
-  tpcd::Config config;
-  config.parts_per_mfgr = 4;
-  config.num_mfgrs = 3;
-  config.num_suppliers = 4;
-  config.months_per_year = 6;
-  config.num_years = 2;
-  config.num_orders = orders;
-  auto warehouse = tpcd::GenerateWarehouse(config, seed);
+  auto warehouse =
+      tpcd::GenerateWarehouse(tpcd::Config::Small(orders), sweep.seed);
   if (!warehouse.ok()) return Fail(warehouse.status());
   const auto& schema = warehouse.value().schema;
   std::fprintf(stderr, "warehouse: %llu records\n",
@@ -114,40 +98,23 @@ int Run(int argc, char** argv) {
   }
   std::fprintf(stderr, "sweeping %zu strategies...\n", strategies.size());
 
-  CalibrationSweepConfig sweep;
-  sweep.queries_per_class = queries_per_class;
-  sweep.repetitions = repetitions;
-  sweep.seed = seed;
-  sweep.scratch_path = scratch;
-  sweep.backends.clear();
-  for (const std::string& name : backend_names) {
-    auto kind = ParseStorageBackendKind(name);
-    if (!kind.ok()) return Fail(kind.status());
-    sweep.backends.push_back(kind.value());
-  }
-
   auto samples =
       CollectCalibrationSamples(warehouse.value().facts, strategies, sweep);
   if (!samples.ok()) return Fail(samples.status());
   std::fprintf(stderr, "collected %zu samples\n", samples.value().size());
-  {
-    std::ofstream out(samples_path);
-    out << CalibrationSamplesToJson(samples.value(), sweep.storage);
-    if (!out.good()) {
-      return Fail(Status::Internal("failed to write " + samples_path));
-    }
+  const std::string samples_json =
+      CalibrationSamplesToJson(samples.value(), sweep.storage);
+  if (Status s = WriteStringToFile(samples_path, samples_json); !s.ok()) {
+    return Fail(s);
   }
 
   CalibrationFitOptions options;
   options.features = features;
   auto fit = FitCalibration(samples.value(), options);
   if (!fit.ok()) return Fail(fit.status());
-  {
-    std::ofstream out(coefficients_path);
-    out << fit.value().ToJson() << "\n";
-    if (!out.good()) {
-      return Fail(Status::Internal("failed to write " + coefficients_path));
-    }
+  if (Status s = WriteStringToFile(coefficients_path, fit->ToJson() + "\n");
+      !s.ok()) {
+    return Fail(s);
   }
 
   std::printf("fit over %llu samples:\n",
@@ -175,7 +142,4 @@ int Run(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace snakes
-
-int main(int argc, char** argv) { return snakes::Run(argc, argv); }

@@ -63,11 +63,11 @@ ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
 
 # Observability smoke: run the instrumented end-to-end report on the tiny
 # TPC-D grid and validate that both artifacts parse and carry the headline
-# metrics (obs_report exercises advisor + DP + simulator + cache with live
+# metrics (the report exercises advisor + DP + simulator + cache with live
 # metrics and tracing backends).
 echo "==> [obs] smoke"
 OBS_OUT="$ROOT/build-release/obs-smoke"
-"$ROOT/build-release/tools/obs_report" --out "$OBS_OUT" --queries 200 > /dev/null
+"$ROOT/build-release/tools/snakes_cli" report --out "$OBS_OUT" --queries 200 > /dev/null
 python3 - "$OBS_OUT" <<'EOF'
 import json, sys
 out = sys.argv[1]
@@ -185,7 +185,7 @@ print("incremental advise ok: cold/fresh %.2fx, %d cold vs %d warm evals" %
        d["warm_cost_evaluations"]))
 EOF
 
-# Calibration smoke: the measured-cost loop end to end. calibrate_cost
+# Calibration smoke: the measured-cost loop end to end. snakes_cli calibrate
 # sweeps real file_store executions on a small TPC-D warehouse, fits the
 # linear time model in-repo, and writes both artifacts; python validates the
 # samples/coefficients JSON shapes, that the coefficients load as a model
@@ -196,7 +196,7 @@ EOF
 echo "==> [calibration] fit smoke"
 CAL_SAMPLES="$ROOT/build-release/calibration-samples.json"
 CAL_COEF="$ROOT/build-release/calibration-coefficients.json"
-(cd "$ROOT/build-release" && ./tools/calibrate_cost --orders 2000 \
+(cd "$ROOT/build-release" && ./tools/snakes_cli calibrate --orders 2000 \
   --queries 2 --reps 2 --samples "$CAL_SAMPLES" \
   --coefficients "$CAL_COEF" > /dev/null)
 python3 - "$CAL_SAMPLES" "$CAL_COEF" <<'EOF'
@@ -240,7 +240,7 @@ EOF
 #     audit log; python checks request ids are strictly increasing with
 #     monotone timestamps, SLO windows are non-empty, and every audit entry
 #     names a decision with its inputs.
-#  2. telemetry_report renders the same surface as Prometheus text
+#  2. snakes_cli telemetry renders the same surface as Prometheus text
 #     exposition via the Dispatch verb; python validates the exposition
 #     grammar (every sample belongs to a TYPE-declared family) and that the
 #     SLO summary carries both quantiles.
@@ -275,7 +275,7 @@ print("telemetry dump ok: %d requests, %d tenants, %d audited decisions" %
 EOF
 echo "==> [telemetry] prometheus exposition"
 TELEMETRY_PROM="$ROOT/build-release/telemetry-smoke.prom"
-(cd "$ROOT/build-release" && ./tools/telemetry_report --format prom \
+(cd "$ROOT/build-release" && ./tools/snakes_cli telemetry --format prom \
   --requests 400 --out "$TELEMETRY_PROM")
 python3 - "$TELEMETRY_PROM" <<'EOF'
 import sys

@@ -1,6 +1,6 @@
-// obs_report — end-to-end observability demo and smoke tool.
+// snakes_cli report — end-to-end observability demo and smoke tool.
 //
-//   obs_report [--out DIR] [--workload 1..27] [--queries N]
+//   snakes_cli report [--out DIR] [--workload 1..27] [--queries N]
 //
 // Generates a small TPC-D-style warehouse, runs an instrumented Advise over
 // every applicable strategy family (with storage measurement), replays a
@@ -16,79 +16,49 @@
 // The metrics table and the recommendation summary go to stdout.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "core/advisor.h"
 #include "core/evaluation.h"
+#include "core/spec.h"
 #include "curves/path_order.h"
 #include "lattice/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/cache.h"
 #include "storage/pager.h"
+#include "tools/flags.h"
 #include "tpcd/dbgen.h"
 #include "tpcd/workloads.h"
 #include "util/result.h"
 #include "util/rng.h"
 
 namespace snakes {
-namespace {
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-std::string FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-Status WriteFile(const std::filesystem::path& path,
-                 const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::NotFound("cannot open " + path.string() + " for writing");
-  }
-  out << content;
-  out.flush();
-  if (!out) return Status::Internal("short write to " + path.string());
-  return Status::OK();
-}
-
-int Run(int argc, char** argv) {
-  const std::filesystem::path out_dir =
-      FlagValue(argc, argv, "--out", ".");
-  const int workload_id = std::atoi(
-      FlagValue(argc, argv, "--workload", "7").c_str());
-  const uint64_t num_queries = static_cast<uint64_t>(std::atoll(
-      FlagValue(argc, argv, "--queries", "500").c_str()));
+int RunReport(int argc, char** argv) {
+  std::string out_dir = ".";
+  int workload_id = 7;
+  uint64_t num_queries = 500;
+  FlagSet flags("snakes_cli report");
+  flags.Text("--out", &out_dir, "directory for metrics.json and trace.json");
+  flags.Int("--workload", &workload_id, "TPC-D Section-6 workload id", 1,
+            tpcd::kNumWorkloads);
+  flags.Uint64("--queries", &num_queries, "queries replayed through the cache");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
 
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   if (ec) {
-    return Fail(Status::Internal("cannot create " + out_dir.string() + ": " +
-                                 ec.message()));
+    return Fail(
+        Status::Internal("cannot create " + out_dir + ": " + ec.message()));
   }
 
-  // A deliberately small warehouse: every strategy family measurable in
-  // well under a second, so the tool works as a CI smoke step.
-  tpcd::Config config;
-  config.parts_per_mfgr = 4;
-  config.num_mfgrs = 3;
-  config.num_suppliers = 4;
-  config.months_per_year = 6;
-  config.num_years = 2;
-  config.num_orders = 6'000;
-  auto warehouse = tpcd::GenerateWarehouse(config, 31);
+  // Small, so the command works as a CI smoke step.
+  auto warehouse =
+      tpcd::GenerateWarehouse(tpcd::Config::Small(6'000), 31);
   if (!warehouse.ok()) return Fail(warehouse.status());
   const auto& schema = warehouse.value().schema;
 
@@ -133,26 +103,22 @@ int Run(int argc, char** argv) {
   }
 
   const MetricsSnapshot snap = metrics.Snapshot();
-  const auto metrics_path = out_dir / "metrics.json";
-  const auto trace_path = out_dir / "trace.json";
-  if (Status s = WriteFile(metrics_path, snap.ToJson()); !s.ok()) {
-    return Fail(s);
+  const std::string metrics_path = out_dir + "/metrics.json";
+  const std::string trace_path = out_dir + "/trace.json";
+  Status written = WriteStringToFile(metrics_path, snap.ToJson());
+  if (written.ok()) {
+    written = WriteStringToFile(trace_path, tracer.ToChromeJson());
   }
-  if (Status s = WriteFile(trace_path, tracer.ToChromeJson()); !s.ok()) {
-    return Fail(s);
-  }
+  if (!written.ok()) return Fail(written);
 
   std::printf("%s\n", rec.value().ToString().c_str());
   std::printf("%s\n", snap.ToTable().c_str());
   std::printf("wrote %s (%zu metrics) and %s (%zu spans)\n",
-              metrics_path.string().c_str(),
+              metrics_path.c_str(),
               snap.counters.size() + snap.gauges.size() +
                   snap.histograms.size(),
-              trace_path.string().c_str(), tracer.num_events());
+              trace_path.c_str(), tracer.num_events());
   return 0;
 }
 
-}  // namespace
 }  // namespace snakes
-
-int main(int argc, char** argv) { return snakes::Run(argc, argv); }

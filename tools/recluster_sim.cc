@@ -1,12 +1,7 @@
-// recluster_sim — replay a drifting TPC-D workload trace through the
-// incremental reclustering engine.
+// snakes_cli recluster — replay a drifting TPC-D workload trace through
+// the incremental reclustering engine.
 //
-//   recluster_sim [--epochs N] [--queries N] [--cache-pages N]
-//                 [--from ID] [--to ID] [--drift-threshold D]
-//                 [--hysteresis H] [--budget PAGES] [--cooldown N]
-//                 [--alpha A] [--seed S]
-//                 [--backend packed|micropartition]
-//                 [--telemetry PATH]
+//   snakes_cli recluster [--flag value]...   (--help lists the flags)
 //
 // --telemetry PATH writes a TelemetrySnapshot JSON at exit: each epoch's
 // OnEpoch call is recorded as a `recluster` request (and its replay as a
@@ -36,13 +31,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/spec.h"
 #include "lattice/grid_query.h"
 #include "lattice/workload.h"
 #include "obs/flight_recorder.h"
@@ -52,6 +47,7 @@
 #include "service/telemetry.h"
 #include "storage/backend.h"
 #include "storage/cache.h"
+#include "tools/flags.h"
 #include "tpcd/dbgen.h"
 #include "tpcd/workloads.h"
 #include "util/result.h"
@@ -60,19 +56,6 @@
 
 namespace snakes {
 namespace {
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-std::string FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 Result<Workload> Blend(const Workload& from, const Workload& to, double t) {
   std::vector<double> p(from.size());
@@ -83,44 +66,43 @@ Result<Workload> Blend(const Workload& from, const Workload& to, double t) {
                              /*normalize=*/true);
 }
 
-int Run(int argc, char** argv) {
-  const int epochs =
-      std::atoi(FlagValue(argc, argv, "--epochs", "12").c_str());
-  const uint64_t queries = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--queries", "400").c_str()));
-  const uint64_t cache_pages = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--cache-pages", "64").c_str()));
-  const int from_id = std::atoi(FlagValue(argc, argv, "--from", "7").c_str());
-  const int to_id = std::atoi(FlagValue(argc, argv, "--to", "21").c_str());
-  const double drift_threshold =
-      std::atof(FlagValue(argc, argv, "--drift-threshold", "0.01").c_str());
-  const double hysteresis =
-      std::atof(FlagValue(argc, argv, "--hysteresis", "0.02").c_str());
-  const uint64_t budget = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--budget", "0").c_str()));
-  const int cooldown =
-      std::atoi(FlagValue(argc, argv, "--cooldown", "2").c_str());
-  const double alpha =
-      std::atof(FlagValue(argc, argv, "--alpha", "0.4").c_str());
-  const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "1999").c_str()));
-  const std::string telemetry_path =
-      FlagValue(argc, argv, "--telemetry", "");
-  auto backend_kind =
-      ParseStorageBackendKind(FlagValue(argc, argv, "--backend", "packed"));
-  if (!backend_kind.ok()) return Fail(backend_kind.status());
-  if (epochs < 2) return Fail(Status::InvalidArgument("--epochs must be >= 2"));
+}  // namespace
+
+int RunRecluster(int argc, char** argv) {
+  int epochs = 12, from_id = 7, to_id = 21, cooldown = 2;
+  uint64_t queries = 400, cache_pages = 64, budget = 0, seed = 1999;
+  double drift_threshold = 0.01, hysteresis = 0.02, alpha = 0.4;
+  std::string telemetry_path, backend_name = "packed";
+  FlagSet flags("snakes_cli recluster");
+  flags.Int("--epochs", &epochs, "epochs in the drifting trace", 2);
+  flags.Uint64("--queries", &queries, "queries replayed per epoch");
+  flags.Uint64("--cache-pages", &cache_pages, "LRU page-cache capacity");
+  flags.Int("--from", &from_id, "Section-6 workload the trace starts at", 1,
+            tpcd::kNumWorkloads);
+  flags.Int("--to", &to_id, "Section-6 workload the trace ends at", 1,
+            tpcd::kNumWorkloads);
+  flags.Double("--drift-threshold", &drift_threshold,
+               "re-advise only above this total-variation drift", 0.0, 1.0);
+  flags.Double("--hysteresis", &hysteresis,
+               "minimum relative improvement to adopt", 0.0, 1.0);
+  flags.Uint64("--budget", &budget, "movement budget in pages (0: none)");
+  flags.Int("--cooldown", &cooldown, "epochs to hold after an adoption");
+  flags.Double("--alpha", &alpha, "EWMA weight of the newest epoch",
+               std::numeric_limits<double>::min(), 1.0);
+  flags.Uint64("--seed", &seed, "warehouse and replay seed");
+  flags.Text("--telemetry", &telemetry_path,
+             "write a TelemetrySnapshot JSON here at exit");
+  flags.Text("--backend", &backend_name, "packed or micropartition");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
+  auto backend_kind = ParseStorageBackendKind(backend_name);
+  if (!backend_kind.ok()) {
+    return flags.UsageError(backend_kind.status().message());
+  }
 
   // Small warehouse: each epoch's full pipeline (advise + pack + replay)
   // stays fast enough for CI while still spanning thousands of pages.
-  tpcd::Config config;
-  config.parts_per_mfgr = 4;
-  config.num_mfgrs = 3;
-  config.num_suppliers = 4;
-  config.months_per_year = 6;
-  config.num_years = 2;
-  config.num_orders = 8'000;
-  auto warehouse = tpcd::GenerateWarehouse(config, seed);
+  auto warehouse =
+      tpcd::GenerateWarehouse(tpcd::Config::Small(8'000), seed);
   if (!warehouse.ok()) return Fail(warehouse.status());
   const auto& schema = warehouse.value().schema;
   const QueryClassLattice lat(*schema);
@@ -166,6 +148,18 @@ int Run(int argc, char** argv) {
   SloWindow slo;
   ReclusterAuditLog audit(static_cast<size_t>(epochs) + 1);
   uint64_t next_request_id = 1;
+  const auto record = [&](RequestVerb verb, uint64_t start_ns,
+                          StatusCode status) {
+    RequestRecord rec;
+    rec.id = next_request_id++;
+    rec.verb = verb;
+    rec.status = status;
+    rec.enqueue_ns = start_ns;
+    rec.start_ns = start_ns;
+    rec.finish_ns = now_ns();
+    recorder.Record(rec);
+    slo.Record(verb, rec.compute_ns(), status != StatusCode::kOk);
+  };
 
   TextTable table({"epoch", "drift", "decision", "layout", "cost", "evals",
                    "cached", "pages moved", "cache hit%", "pruned%"});
@@ -175,17 +169,7 @@ int Run(int argc, char** argv) {
     if (!mu.ok()) return Fail(mu.status());
     const uint64_t epoch_start = now_ns();
     auto report = engine.OnEpoch(mu.value());
-    {
-      RequestRecord rec;
-      rec.id = next_request_id++;
-      rec.verb = RequestVerb::kRecluster;
-      rec.status = report.status().code();
-      rec.enqueue_ns = epoch_start;
-      rec.start_ns = epoch_start;
-      rec.finish_ns = now_ns();
-      recorder.Record(rec);
-      slo.Record(RequestVerb::kRecluster, rec.compute_ns(), !report.ok());
-    }
+    record(RequestVerb::kRecluster, epoch_start, report.status().code());
     if (!report.ok()) return Fail(report.status());
     const EpochReport& r = report.value();
     {
@@ -221,16 +205,7 @@ int Run(int argc, char** argv) {
       }
       const uint64_t replay_start = now_ns();
       ReplayWorkload(*backend, mu.value(), queries, &cache, &rng);
-      {
-        RequestRecord rec;
-        rec.id = next_request_id++;
-        rec.verb = RequestVerb::kQuery;
-        rec.enqueue_ns = replay_start;
-        rec.start_ns = replay_start;
-        rec.finish_ns = now_ns();
-        recorder.Record(rec);
-        slo.Record(RequestVerb::kQuery, rec.compute_ns(), /*error=*/false);
-      }
+      record(RequestVerb::kQuery, replay_start, StatusCode::kOk);
       hit_rate = cache.HitRate();
 
       // Zone-map pruning power under this epoch's own workload: the
@@ -290,11 +265,9 @@ int Run(int argc, char** argv) {
     trace.slo = slo.Snap();
     snap.tenants.push_back(std::move(trace));
     snap.audit = audit.Snapshot();
-    std::ofstream tout(telemetry_path);
-    tout << snap.ToJson(/*pretty=*/true);
-    if (!tout.good()) {
-      return Fail(Status::Internal("failed to write " + telemetry_path));
-    }
+    const Status written =
+        WriteStringToFile(telemetry_path, snap.ToJson(/*pretty=*/true));
+    if (!written.ok()) return Fail(written);
     std::printf("wrote %s (%zu requests, %zu audit entries)\n",
                 telemetry_path.c_str(), snap.requests.size(),
                 snap.audit.size());
@@ -302,7 +275,4 @@ int Run(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace snakes
-
-int main(int argc, char** argv) { return snakes::Run(argc, argv); }

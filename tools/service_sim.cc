@@ -1,12 +1,11 @@
 // service_sim — throughput and safety guard for the AdvisorService daemon.
 //
-//   service_sim [--tenants N] [--requests N] [--threads T] [--rounds R]
-//               [--seed S] [--out PATH] [--backend packed|micropartition]
-//               [--telemetry PATH]
+//   service_sim [--flag value]...   (--help lists the flags)
 //
-// `--help` prints the usage and exits 0. An unknown flag, a flag without a
-// value, or a number that is not a whole non-negative integer exits 2 with
-// a message before anything runs.
+// Flags parse through tools/flags.h: `--help` prints the usage and exits 0;
+// an unknown flag, a flag without a value, or a number that is not a whole
+// non-negative integer in range exits 2 with a message before anything
+// runs.
 //
 // Registers N tenants (N >= 8 in the guard configuration), then drives two
 // phases against the service:
@@ -40,19 +39,16 @@
 // recorder, per-tenant SLO windows, recluster audit log — is also dumped
 // standalone to PATH for the check.sh exposition/consistency validators.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <future>
-#include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/advisor.h"
+#include "core/spec.h"
 #include "hierarchy/star_schema.h"
 #include "lattice/grid_query.h"
 #include "lattice/workload.h"
@@ -61,6 +57,7 @@
 #include "service/telemetry.h"
 #include "storage/backend.h"
 #include "storage/fact_table.h"
+#include "tools/flags.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -71,85 +68,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-constexpr char kUsage[] =
-    "usage: service_sim [--tenants N] [--requests N] [--threads T] "
-    "[--rounds R]\n"
-    "                   [--seed S] [--out PATH] "
-    "[--backend packed|micropartition]\n"
-    "                   [--telemetry PATH]\n";
-
-struct Flags {
-  uint64_t tenants = 8;
-  uint64_t requests = 4000;
-  uint64_t threads = 2;
-  uint64_t rounds = 6;
-  uint64_t seed = 1999;
-  std::string out_path = "BENCH_service_throughput.json";
-  std::string telemetry_path;
-  std::string backend = "packed";
-  bool help = false;
-};
-
-/// Strict command line: every flag takes a value, numbers must be whole
-/// non-negative integers (counts at most INT_MAX), and anything else is an
-/// error message (empty on success). `--help` stops parsing.
-std::string ParseFlags(int argc, char** argv, Flags* flags) {
-  constexpr uint64_t kCountMax = std::numeric_limits<int>::max();
-  const std::map<std::string, std::pair<uint64_t*, uint64_t>> numbers = {
-      {"--tenants", {&flags->tenants, kCountMax}},
-      {"--requests", {&flags->requests, kCountMax}},
-      {"--threads", {&flags->threads, kCountMax}},
-      {"--rounds", {&flags->rounds, kCountMax}},
-      {"--seed", {&flags->seed, UINT64_MAX}}};
-  const std::map<std::string, std::string*> texts = {
-      {"--out", &flags->out_path},
-      {"--telemetry", &flags->telemetry_path},
-      {"--backend", &flags->backend}};
-  for (int i = 1; i < argc; i += 2) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      flags->help = true;
-      return "";
-    }
-    const auto number = numbers.find(flag);
-    const auto text = texts.find(flag);
-    if (number == numbers.end() && text == texts.end()) {
-      return "unknown flag " + flag;
-    }
-    if (i + 1 >= argc) return flag + " needs a value";
-    const std::string value = argv[i + 1];
-    if (text != texts.end()) {
-      *text->second = value;
-      continue;
-    }
-    const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end,
-                                           *number->second.first);
-    if (ec != std::errc() || ptr != end ||
-        *number->second.first > number->second.second) {
-      return flag + " takes a non-negative integer, got '" + value + "'";
-    }
-  }
-  return "";
-}
-
-std::shared_ptr<const FactTable> RandomFacts(
-    const std::shared_ptr<const StarSchema>& schema, Rng* rng) {
-  auto facts = std::make_shared<FactTable>(schema);
-  for (CellId id = 0; id < schema->num_cells(); ++id) {
-    const uint64_t records = 1 + rng->Below(4);
-    for (uint64_t r = 0; r < records; ++r) {
-      facts->AddRecord(schema->Unflatten(id), rng->NextDouble());
-    }
-  }
-  return facts;
-}
-
 // The alternating point workloads whose optimal row-major orders differ, so
 // each storm round flips the optimum and forces a background adoption.
 Workload RoundWorkload(const QueryClassLattice& lat, int round) {
@@ -159,26 +77,25 @@ Workload RoundWorkload(const QueryClassLattice& lat, int round) {
 }
 
 int Run(int argc, char** argv) {
-  Flags flags;
-  const std::string flag_error = ParseFlags(argc, argv, &flags);
-  if (flags.help) {
-    std::printf("%s", kUsage);
-    return 0;
+  int tenants = 8, requests = 4000, threads = 2, rounds = 6;
+  uint64_t seed = 1999;
+  std::string out_path = "BENCH_service_throughput.json", telemetry_path,
+              backend = "packed";
+  FlagSet flags("service_sim");
+  flags.Int("--tenants", &tenants, "tenants to register", 1);
+  flags.Int("--requests", &requests, "mixed-phase requests");
+  flags.Int("--threads", &threads, "request-pool threads");
+  flags.Int("--rounds", &rounds, "recluster-storm rounds");
+  flags.Uint64("--seed", &seed, "traffic and fact-table seed");
+  flags.Text("--out", &out_path, "benchmark artifact path");
+  flags.Text("--backend", &backend, "packed or micropartition");
+  flags.Text("--telemetry", &telemetry_path,
+             "also dump the TelemetrySnapshot JSON here");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
+  auto backend_kind = ParseStorageBackendKind(backend);
+  if (!backend_kind.ok()) {
+    return flags.UsageError(backend_kind.status().message());
   }
-  if (!flag_error.empty()) {
-    std::fprintf(stderr, "error: %s\n%s", flag_error.c_str(), kUsage);
-    return 2;
-  }
-  const int tenants = static_cast<int>(flags.tenants);
-  const int requests = static_cast<int>(flags.requests);
-  const int threads = static_cast<int>(flags.threads);
-  const int rounds = static_cast<int>(flags.rounds);
-  const uint64_t seed = flags.seed;
-  const std::string& out_path = flags.out_path;
-  const std::string& telemetry_path = flags.telemetry_path;
-  auto backend_kind = ParseStorageBackendKind(flags.backend);
-  if (!backend_kind.ok()) return Fail(backend_kind.status());
-  if (tenants < 1) return Fail(Status::InvalidArgument("--tenants >= 1"));
 
   MetricsRegistry metrics;
   ServiceConfig config;
@@ -200,7 +117,7 @@ int Run(int argc, char** argv) {
     TenantSpec spec;
     spec.name = "tenant" + std::to_string(t);
     spec.schema = schema;
-    spec.facts = RandomFacts(schema, &rng);
+    spec.facts = FactTable::Random(schema, 1, 4, &rng);
     spec.backend = backend_kind.value();
     spec.initial_workload = Workload::Random(lat, &rng);
     auto id = service.RegisterTenant(std::move(spec));
@@ -394,15 +311,12 @@ int Run(int argc, char** argv) {
   json += bit_identical ? "true" : "false";
   json += ",\n  \"metrics\": " + snapshot.ToJson(/*pretty=*/false);
   json += ",\n  \"telemetry\": " + telemetry.ToJson(/*pretty=*/false) + "\n}\n";
-  std::ofstream out(out_path);
-  out << json;
-  SNAKES_CHECK(out.good()) << "failed to write " << out_path;
+  SNAKES_CHECK_OK(WriteStringToFile(out_path, json));
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!telemetry_path.empty()) {
-    std::ofstream tout(telemetry_path);
-    tout << telemetry.ToJson(/*pretty=*/true);
-    SNAKES_CHECK(tout.good()) << "failed to write " << telemetry_path;
+    SNAKES_CHECK_OK(
+        WriteStringToFile(telemetry_path, telemetry.ToJson(/*pretty=*/true)));
     std::printf("wrote %s (%zu requests, %zu tenants, %zu audit entries)\n",
                 telemetry_path.c_str(), telemetry.requests.size(),
                 telemetry.tenants.size(), telemetry.audit.size());

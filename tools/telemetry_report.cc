@@ -1,8 +1,7 @@
-// telemetry_report — drive a small multi-tenant advisor service and print
-// its live telemetry, as Prometheus text exposition or JSON.
+// snakes_cli telemetry — drive a small multi-tenant advisor service and
+// print its live telemetry, as Prometheus text exposition or JSON.
 //
-//   telemetry_report [--format prom|json|recorder] [--tenants N]
-//                    [--requests N] [--seed S] [--out PATH]
+//   snakes_cli telemetry [--format prom|json|recorder] [--flag value]...
 //
 // Registers N tenants, runs a mixed request storm (queries, measures,
 // ingests, advises, epoch closes with background reclusters), then renders
@@ -18,17 +17,16 @@
 //             requests" crash-cart view).
 //
 // The exposition comes from the same Dispatch verb the service serves
-// (`telemetry prom` / `telemetry` / `telemetry recorder`), so this tool
+// (`telemetry prom` / `telemetry` / `telemetry recorder`), so this command
 // exercises the real surface, not a parallel rendering path.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/spec.h"
 #include "hierarchy/star_schema.h"
 #include "lattice/grid_query.h"
 #include "lattice/workload.h"
@@ -36,50 +34,27 @@
 #include "obs/trace.h"
 #include "service/service.h"
 #include "storage/fact_table.h"
+#include "tools/flags.h"
 #include "util/result.h"
 #include "util/rng.h"
 
 namespace snakes {
-namespace {
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-std::string FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-std::shared_ptr<const FactTable> RandomFacts(
-    const std::shared_ptr<const StarSchema>& schema, Rng* rng) {
-  auto facts = std::make_shared<FactTable>(schema);
-  for (CellId id = 0; id < schema->num_cells(); ++id) {
-    const uint64_t records = 1 + rng->Below(3);
-    for (uint64_t r = 0; r < records; ++r) {
-      facts->AddRecord(schema->Unflatten(id), rng->NextDouble());
-    }
-  }
-  return facts;
-}
-
-int Run(int argc, char** argv) {
-  const std::string format = FlagValue(argc, argv, "--format", "prom");
-  const int tenants = std::atoi(FlagValue(argc, argv, "--tenants", "3").c_str());
-  const int requests =
-      std::atoi(FlagValue(argc, argv, "--requests", "600").c_str());
-  const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "1999").c_str()));
-  const std::string out_path = FlagValue(argc, argv, "--out", "");
+int RunTelemetry(int argc, char** argv) {
+  std::string format = "prom", out_path;
+  int tenants = 3, requests = 600;
+  uint64_t seed = 1999;
+  FlagSet flags("snakes_cli telemetry");
+  flags.Text("--format", &format, "prom, json or recorder");
+  flags.Int("--tenants", &tenants, "tenants to register", 1);
+  flags.Int("--requests", &requests, "mixed requests to serve");
+  flags.Uint64("--seed", &seed, "traffic and fact-table seed");
+  flags.Text("--out", &out_path, "write the rendering here instead of stdout");
+  if (auto exit = flags.ParseCommandLine(argc, argv)) return *exit;
   if (format != "prom" && format != "json" && format != "recorder") {
-    return Fail(Status::InvalidArgument(
-        "--format must be prom, json, or recorder; got '" + format + "'"));
+    return flags.UsageError("--format must be prom, json, or recorder; got '" +
+                            format + "'");
   }
-  if (tenants < 1) return Fail(Status::InvalidArgument("--tenants >= 1"));
 
   MetricsRegistry metrics;
   Tracer tracer;
@@ -101,7 +76,7 @@ int Run(int argc, char** argv) {
     TenantSpec spec;
     spec.name = "tenant" + std::to_string(t);
     spec.schema = schema;
-    spec.facts = RandomFacts(schema, &rng);
+    spec.facts = FactTable::Random(schema, 1, 3, &rng);
     spec.initial_workload = Workload::Random(lat, &rng);
     auto id = service.RegisterTenant(std::move(spec));
     if (!id.ok()) return Fail(id.status());
@@ -134,18 +109,13 @@ int Run(int argc, char** argv) {
   }
   service.Shutdown();  // drain background reclusters into the recorder
 
-  const char* verb = format == "prom"       ? "telemetry prom"
-                     : format == "recorder" ? "telemetry recorder"
-                                            : "telemetry";
-  const Result<std::string> rendered = service.Dispatch("tenant0", verb);
+  const Result<std::string> rendered = service.Dispatch(
+      "tenant0", format == "json" ? "telemetry" : "telemetry " + format);
   if (!rendered.ok()) return Fail(rendered.status());
 
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << rendered.value();
-    if (!out.good()) {
-      return Fail(Status::Internal("failed to write " + out_path));
-    }
+    const Status written = WriteStringToFile(out_path, rendered.value());
+    if (!written.ok()) return Fail(written);
     std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   } else {
     std::fputs(rendered.value().c_str(), stdout);
@@ -153,7 +123,4 @@ int Run(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace snakes
-
-int main(int argc, char** argv) { return snakes::Run(argc, argv); }
