@@ -48,6 +48,14 @@ Result<StarSchema> StarSchema::Symmetric(int k, int levels, uint64_t fanout) {
   return Make("symmetric", std::move(dims));
 }
 
+bool StarSchema::SameGrid(const StarSchema& other) const {
+  if (num_dims() != other.num_dims()) return false;
+  for (int d = 0; d < num_dims(); ++d) {
+    if (extent(d) != other.extent(d)) return false;
+  }
+  return true;
+}
+
 CellId StarSchema::Flatten(const CellCoord& coord) const {
   SNAKES_DCHECK(static_cast<int>(coord.size()) == num_dims());
   CellId id = 0;

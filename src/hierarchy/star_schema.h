@@ -46,6 +46,11 @@ class StarSchema {
   /// Extent (leaf count) of dimension `d`.
   uint64_t extent(int d) const { return dims_[static_cast<size_t>(d)].num_leaves(); }
 
+  /// True iff `other` has the same number of dimensions with the same
+  /// extents, so both flatten every coordinate to the same cell id. Cell
+  /// counts alone cannot tell a 6x4 grid from a 4x6 one.
+  bool SameGrid(const StarSchema& other) const;
+
   /// Flattens a coordinate to a cell id (last dimension fastest).
   CellId Flatten(const CellCoord& coord) const;
 

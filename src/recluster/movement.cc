@@ -7,7 +7,8 @@ namespace snakes {
 Result<MovementCost> ComputeMovementCost(const StorageBackend& current,
                                          const StorageBackend& proposed) {
   const uint64_t n = current.linearization().num_cells();
-  if (proposed.linearization().num_cells() != n) {
+  if (!current.linearization().schema().SameGrid(
+          proposed.linearization().schema())) {
     return Status::InvalidArgument(
         "movement cost requires backends over the same grid");
   }

@@ -44,7 +44,8 @@ struct MovementCost {
 };
 
 /// Prices rewriting `current` into `proposed`. Both backends must pack the
-/// same number of cells and records (same grid, same fact table); they need
+/// same grid (equal per-dimension extents) and the same number of records
+/// (same fact table); otherwise InvalidArgument. They need
 /// not be the same backend kind — each side is priced at its own rewrite
 /// granularity. Identical cell orders cost exactly zero.
 Result<MovementCost> ComputeMovementCost(const StorageBackend& current,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "hierarchy/star_schema.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -40,68 +41,25 @@ Status StorageBackend::PackPages(std::shared_ptr<const Linearization> lin,
     return Status::InvalidArgument(
         "page must hold at least one whole record");
   }
-  if (&lin->schema() != &facts->schema() &&
-      lin->num_cells() != facts->num_cells()) {
+  if (!lin->schema().SameGrid(facts->schema())) {
     return Status::InvalidArgument(
         "linearization and fact table describe different grids");
   }
   lin_ = std::move(lin);
   facts_ = std::move(facts);
   config_ = config;
-  const uint64_t n = lin_->num_cells();
-  first_page_.resize(n);
-  last_page_.resize(n);
-  records_.resize(n);
-
-  uint64_t page = 0;
-  uint64_t used = 0;  // bytes used on the current page
-  const StarSchema& schema = lin_->schema();
-  lin_->Walk([&](uint64_t rank, const CellCoord& coord) {
-    const uint32_t records = facts_->count(schema.Flatten(coord));
-    records_[rank] = records;
-    if (records == 0) {
-      // Empty cell: occupies nothing; mark with an inverted span.
-      first_page_[rank] = 1;
-      last_page_[rank] = 0;
-      return;
-    }
-    uint64_t placed = 0;
-    uint64_t first = UINT64_MAX;
-    while (placed < records) {
-      if (config.page_size_bytes - used < config.record_size_bytes) {
-        // Close the page: the remainder cannot hold a whole record.
-        ++page;
-        used = 0;
-      }
-      // Place as many of the cell's remaining records as fit on this page.
-      const uint64_t fit =
-          (config.page_size_bytes - used) / config.record_size_bytes;
-      const uint64_t take = std::min<uint64_t>(fit, records - placed);
-      if (first == UINT64_MAX) first = page;
-      used += take * config.record_size_bytes;
-      placed += take;
-    }
-    first_page_[rank] = first;
-    last_page_[rank] = page;
-  });
-  num_pages_ = page + (used > 0 ? 1 : 0);
-  cum_records_.resize(n + 1);
-  next_first_page_.resize(n);
-  prev_last_page_.resize(n);
+  records_per_page_ = config.RecordsPerPage();
+  cum_records_.resize(lin_->num_cells() + 1);
   cum_records_[0] = 0;
-  uint64_t last_page_so_far = 0;
-  for (uint64_t rank = 0; rank < n; ++rank) {
-    // Checked: near-2^63-cell grids must abort rather than wrap the prefix
-    // sums MeasureRange subtracts (the CellBox::NumCells convention).
-    cum_records_[rank + 1] = CheckedAdd(cum_records_[rank], records_[rank]);
-    if (!CellEmpty(rank)) last_page_so_far = last_page_[rank];
-    prev_last_page_[rank] = last_page_so_far;
-  }
-  uint64_t first_page_so_far = 0;
-  for (uint64_t rank = n; rank-- > 0;) {
-    if (!CellEmpty(rank)) first_page_so_far = first_page_[rank];
-    next_first_page_[rank] = first_page_so_far;
-  }
+  const StarSchema& schema = lin_->schema();
+  // Walk visits ranks in order, so cum_records_[rank] is final when read.
+  // Checked: near-2^63-cell grids must abort rather than wrap the prefix
+  // sums MeasureRange subtracts (the CellBox::NumCells convention).
+  lin_->Walk([&](uint64_t rank, const CellCoord& coord) {
+    cum_records_[rank + 1] =
+        CheckedAdd(cum_records_[rank], facts_->count(schema.Flatten(coord)));
+  });
+  num_pages_ = CeilDiv(cum_records_.back(), records_per_page_);
   if (obs.metrics != nullptr) {
     obs.metrics->GetCounter("storage.pages_packed")->Inc(num_pages_);
     obs.metrics->GetCounter("storage.records_packed")
@@ -114,18 +72,18 @@ StorageBackend::RangeIo StorageBackend::MeasureRange(uint64_t start,
                                                      uint64_t len) const {
   // Explicit overflow-safe bounds check: start + len may wrap uint64 when
   // cell counts approach 2^63, so compare against the grid without adding.
-  SNAKES_CHECK(len <= records_.size() && start <= records_.size() - len)
+  const uint64_t n = cum_records_.size() - 1;
+  SNAKES_CHECK(len <= n && start <= n - len)
       << "MeasureRange past the grid: start=" << start << " len=" << len
-      << " cells=" << records_.size();
+      << " cells=" << n;
   RangeIo io;
-  if (len == 0) return io;
-  io.records = cum_records_[start + len] - cum_records_[start];
+  const uint64_t before = cum_records_[start];
+  const uint64_t through = cum_records_[start + len];
+  io.records = through - before;
   if (io.records == 0) return io;
-  // Non-empty range: the first non-empty cell at rank >= start and the last
-  // one at rank <= start + len - 1 both lie inside the range, and packing
-  // makes every page in between hold records of in-range cells.
-  io.first_page = next_first_page_[start];
-  io.last_page = prev_last_page_[start + len - 1];
+  // Records [before, through) are consecutive on disk.
+  io.first_page = before / records_per_page_;
+  io.last_page = (through - 1) / records_per_page_;
   return io;
 }
 

@@ -102,11 +102,14 @@ struct RewriteIo {
 /// the linearization's rank order (a cell's records may span a page
 /// boundary, but single records never split — when a page's remainder is
 /// smaller than one record the page is closed and the record starts the next
-/// page, Section 6.1), so rank-range measurement, query evaluation, and
-/// movement-cost diffs share one representation. Backends differ in the
-/// metadata layered on top: how pages group into partitions, what a query
-/// may skip without reading (PruneBox), and the granularity at which a
-/// relayout rewrites data (RewriteReadIo / RewriteWriteIo).
+/// page, Section 6.1). With one record size, every page therefore holds
+/// exactly RecordsPerPage() records and record i in rank order lives on page
+/// i / RecordsPerPage(), so one prefix sum of per-rank record counts is the
+/// whole representation that rank-range measurement, query evaluation, and
+/// movement-cost diffs share. Backends differ in the metadata layered on
+/// top: how pages group into partitions, what a query may skip without
+/// reading (PruneBox), and the granularity at which a relayout rewrites data
+/// (RewriteReadIo / RewriteWriteIo).
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -122,7 +125,7 @@ class StorageBackend {
   const FactTable& facts() const { return *facts_; }
   const StorageConfig& config() const { return config_; }
 
-  /// Total pages used.
+  /// Total pages used: ceil(total records / RecordsPerPage()).
   uint64_t num_pages() const { return num_pages_; }
 
   /// Partition directory size; 0 means the backend has no partition
@@ -131,16 +134,23 @@ class StorageBackend {
 
   /// True iff the cell at `rank` holds no records.
   bool CellEmpty(uint64_t rank) const {
-    return first_page_[rank] > last_page_[rank];
+    return cum_records_[rank + 1] == cum_records_[rank];
   }
 
   /// First/last page (inclusive) holding records of the cell at `rank`;
-  /// meaningful only when !CellEmpty(rank).
-  uint64_t CellFirstPage(uint64_t rank) const { return first_page_[rank]; }
-  uint64_t CellLastPage(uint64_t rank) const { return last_page_[rank]; }
+  /// meaningful only when !CellEmpty(rank). Record i (in rank order) lives
+  /// on page i / RecordsPerPage().
+  uint64_t CellFirstPage(uint64_t rank) const {
+    return cum_records_[rank] / records_per_page_;
+  }
+  uint64_t CellLastPage(uint64_t rank) const {
+    return (cum_records_[rank + 1] - 1) / records_per_page_;
+  }
 
-  /// Record count of the cell at `rank` (cached from the fact table).
-  uint32_t CellRecords(uint64_t rank) const { return records_[rank]; }
+  /// Record count of the cell at `rank`.
+  uint32_t CellRecords(uint64_t rank) const {
+    return static_cast<uint32_t>(cum_records_[rank + 1] - cum_records_[rank]);
+  }
 
   /// Aggregate I/O footprint of a rank run. Because records pack in rank
   /// order, the pages of any consecutive-rank range form one contiguous
@@ -152,8 +162,8 @@ class StorageBackend {
     uint64_t last_page = 0;
   };
 
-  /// Footprint of ranks [start, start + len) in O(1), from prefix sums
-  /// built at pack time. Checked: a range reaching past the grid aborts
+  /// Footprint of ranks [start, start + len) in O(1), from the record prefix
+  /// sums built at pack time. Checked: a range reaching past the grid aborts
   /// instead of reading out of bounds (ranks approach 2^63 on wide
   /// schemas, so start + len itself is guarded against wraparound).
   RangeIo MeasureRange(uint64_t start, uint64_t len) const;
@@ -209,9 +219,9 @@ class StorageBackend {
   StorageBackend& operator=(StorageBackend&&) = default;
 
   /// Validates the inputs and packs `facts` along `lin` into the shared
-  /// page representation (per-rank page spans plus the O(1) MeasureRange
-  /// prefix structures). Fails if config is degenerate (page smaller than a
-  /// record) or the linearization belongs to a different grid. `obs`
+  /// page representation: the per-rank record prefix sums every page span
+  /// derives from. Fails if config is degenerate (page smaller than a
+  /// record) or the linearization's grid differs from the fact table's. `obs`
   /// (optional) records a "storage/pack" span and the storage.pages_packed /
   /// storage.records_packed counters.
   Status PackPages(std::shared_ptr<const Linearization> lin,
@@ -226,18 +236,10 @@ class StorageBackend {
   std::shared_ptr<const FactTable> facts_;
   StorageConfig config_;
   uint64_t num_pages_ = 0;
-  // Indexed by rank. Empty cells have first > last.
-  std::vector<uint64_t> first_page_;
-  std::vector<uint64_t> last_page_;
-  std::vector<uint32_t> records_;
-  // Rank-range accelerators for MeasureRange. cum_records_[r] = records in
-  // ranks [0, r) (n + 1 entries); next_first_page_[r] = first page of the
-  // first non-empty cell at rank >= r; prev_last_page_[r] = last page of
-  // the last non-empty cell at rank <= r. The page sentinels are only read
-  // when the queried range holds >= 1 record.
+  uint64_t records_per_page_ = 1;
+  // cum_records_[r] = records in ranks [0, r) (num_cells + 1 entries); every
+  // page span is derived from it (see the class comment).
   std::vector<uint64_t> cum_records_;
-  std::vector<uint64_t> next_first_page_;
-  std::vector<uint64_t> prev_last_page_;
 };
 
 /// Packs `facts` along `lin` into a heap-allocated backend of the requested

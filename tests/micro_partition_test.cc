@@ -8,13 +8,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cell_walk_oracle.h"
+#include "page_placement_oracle.h"
 #include "cost/edge_model.h"
 #include "curves/row_major.h"
 #include "hierarchy/hierarchy.h"
@@ -563,6 +566,106 @@ TEST(MicroPartitionDeathTest, MeasureRangePastTheGridAborts) {
   EXPECT_DEATH(layout.MeasureRange(1, UINT64_MAX), "CHECK failed");
   EXPECT_DEATH(layout.MeasureRange(UINT64_MAX, 2), "CHECK failed");
 }
+
+/// One storage geometry for the page-arithmetic oracle, with the occupancy
+/// of the fact table packed into it.
+struct PlacementCase {
+  const char* name;
+  StorageConfig config;
+  double occupied;       // fraction of cells holding records
+  uint64_t max_records;  // records per occupied cell, drawn from 1..max
+};
+
+const PlacementCase kPlacementCases[] = {
+    // Section 6.1's geometry: 65 records per page, 67 bytes of slack, and
+    // cells spanning several pages.
+    {"page_slack_8192_125", {8192, 125, 4}, 0.3, 300},
+    {"exact_multiple_1024_64", {1024, 64, 2}, 0.7, 40},
+    {"record_equals_page", {125, 125, 3}, 0.7, 3},
+    {"record_over_half_page", {100, 60, 2}, 0.7, 3},
+    {"all_empty", {8192, 125, 16}, 0.0, 0},
+    {"sparse_cells", {64, 30, 2}, 0.05, 5},
+};
+
+using PlacementParam = std::tuple<PlacementCase, StorageBackendKind, int>;
+
+void PrintTo(const PlacementParam& param, std::ostream* os) {
+  *os << std::get<0>(param).name << "/"
+      << StorageBackendKindName(std::get<1>(param)) << "/seed "
+      << std::get<2>(param);
+}
+
+class PagePlacementOracleTest
+    : public ::testing::TestWithParam<PlacementParam> {};
+
+TEST_P(PagePlacementOracleTest, PageArithmeticMatchesRecordPlacement) {
+  const auto& [placement, kind, seed] = GetParam();
+  Rng rng(0x9A6E + static_cast<uint64_t>(seed) * 31337);
+  const auto schema = RandomSchema(&rng);
+  auto facts = std::make_shared<FactTable>(schema);
+  for (CellId id = 0; id < schema->num_cells(); ++id) {
+    if (!rng.Chance(placement.occupied)) continue;
+    const uint64_t records = 1 + rng.Below(placement.max_records);
+    for (uint64_t r = 0; r < records; ++r) {
+      facts->AddRecord(schema->Unflatten(id), rng.NextDouble());
+    }
+  }
+  const auto lin = RandomOrder(schema, &rng);
+  const auto backend =
+      MakeStorageBackend(kind, lin, facts, placement.config).value();
+  const PagePlacement oracle = PlacePages(*lin, *facts, placement.config);
+
+  const uint64_t n = schema->num_cells();
+  EXPECT_EQ(backend->num_pages(), oracle.num_pages);
+  if (placement.occupied == 0.0) {
+    EXPECT_EQ(backend->num_pages(), 0u);
+  }
+  for (uint64_t rank = 0; rank < n; ++rank) {
+    ASSERT_EQ(backend->CellRecords(rank), oracle.records[rank]) << rank;
+    ASSERT_EQ(backend->CellEmpty(rank), oracle.records[rank] == 0) << rank;
+    if (oracle.records[rank] == 0) continue;
+    ASSERT_EQ(backend->CellFirstPage(rank), oracle.first_page[rank]) << rank;
+    ASSERT_EQ(backend->CellLastPage(rank), oracle.last_page[rank]) << rank;
+  }
+
+  auto expect_range = [&](uint64_t start, uint64_t len) {
+    const StorageBackend::RangeIo got = backend->MeasureRange(start, len);
+    const StorageBackend::RangeIo want = oracle.Range(start, len);
+    SCOPED_TRACE(::testing::Message()
+                 << "ranks [" << start << ", +" << len << ")");
+    EXPECT_EQ(got.records, want.records);
+    if (want.records == 0) {
+      EXPECT_GT(got.first_page, got.last_page);
+    } else {
+      EXPECT_EQ(got.first_page, want.first_page);
+      EXPECT_EQ(got.last_page, want.last_page);
+    }
+  };
+  // Edge ranges: the whole grid, both empty ends, every single cell, and
+  // the grid less its first or last cell; then random ranges.
+  expect_range(0, n);
+  expect_range(0, 0);
+  expect_range(n, 0);
+  for (uint64_t rank = 0; rank < n; ++rank) expect_range(rank, 1);
+  expect_range(0, n - 1);
+  expect_range(1, n - 1);
+  for (int i = 0; i < 500; ++i) {
+    const uint64_t start = rng.Below(n + 1);
+    expect_range(start, rng.Below(n - start + 1));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PagePlacementOracleTest,
+    ::testing::Combine(::testing::ValuesIn(kPlacementCases),
+                       ::testing::Values(StorageBackendKind::kPacked,
+                                         StorageBackendKind::kMicroPartition),
+                       ::testing::Range(0, 3)),
+    [](const ::testing::TestParamInfo<PlacementParam>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             StorageBackendKindName(std::get<1>(info.param)) + "_" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 }  // namespace
 }  // namespace snakes

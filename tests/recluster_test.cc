@@ -520,6 +520,30 @@ TEST(MovementTest, RejectsMismatchedLayouts) {
   EXPECT_FALSE(ComputeMovementCost(layout, other).ok());
 }
 
+TEST(MovementTest, RejectsTransposedGridsOfEqualCellCount) {
+  // 4x6 and 6x4 agree on cell count and, with one record per cell, on
+  // record totals; pricing across them would rank foreign coordinates.
+  auto grid = [](uint64_t rows, uint64_t cols) {
+    auto schema = std::make_shared<const StarSchema>(
+        StarSchema::Make("g", {Hierarchy::Uniform("r", {rows}).value(),
+                               Hierarchy::Uniform("c", {cols}).value()})
+            .value());
+    auto facts = std::make_shared<FactTable>(schema);
+    for (CellId id = 0; id < schema->num_cells(); ++id) {
+      facts->AddRecord(schema->Unflatten(id), 1.0);
+    }
+    std::shared_ptr<const Linearization> lin(
+        RowMajorOrder::Make(schema, {0, 1}).value());
+    return PackedLayout::Pack(lin, facts, {}).value();
+  };
+  const auto wide = grid(4, 6);
+  const auto tall = grid(6, 4);
+  const auto moved = ComputeMovementCost(wide, tall);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ComputeMovementCost(tall, wide).ok());
+}
+
 // ---------------------------------------------------------------------------
 // AdviseIncremental
 // ---------------------------------------------------------------------------

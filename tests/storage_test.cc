@@ -102,6 +102,30 @@ TEST_F(PackTest, PackValidation) {
   EXPECT_FALSE(PackedLayout::Pack(lin_, facts_, StorageConfig{10, 0}).ok());
 }
 
+TEST(PackGridTest, RejectsTransposedGridOfEqualCellCount) {
+  // A linearization over 6x4 and a fact table over 4x6 share a cell count,
+  // but every flattened cell id would index the wrong cell.
+  auto grid = [](uint64_t rows, uint64_t cols) {
+    return std::make_shared<const StarSchema>(
+        StarSchema::Make("g", {Hierarchy::Uniform("r", {rows}).value(),
+                               Hierarchy::Uniform("c", {cols}).value()})
+            .value());
+  };
+  const auto tall = grid(6, 4);
+  const auto wide = grid(4, 6);
+  auto facts = std::make_shared<FactTable>(wide);
+  facts->AddRecord(At(3, 5), 1.0);
+  std::shared_ptr<const Linearization> lin(
+      RowMajorOrder::Make(tall, {0, 1}).value());
+  const auto packed = PackedLayout::Pack(lin, facts);
+  ASSERT_FALSE(packed.ok());
+  EXPECT_EQ(packed.status().code(), StatusCode::kInvalidArgument);
+  // A distinct schema object with the same extents is the same grid.
+  auto twin = std::make_shared<FactTable>(grid(6, 4));
+  twin->AddRecord(At(5, 3), 1.0);
+  EXPECT_TRUE(PackedLayout::Pack(lin, twin).ok());
+}
+
 TEST_F(PackTest, SingleQueryMeasurement) {
   StorageConfig config{35, 10};
   const PackedLayout layout =

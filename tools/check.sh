@@ -158,6 +158,28 @@ print("micropartition bench ok: %d partitions, %.1f%% pruned" %
       (d["partitions"], 100.0 * d["restricted_pruned_fraction"]))
 EOF
 
+# Perfbench correctness smoke: the only check of the storage layer at TPC-D
+# scale (168k cells, micro-partition and packed answers compared bit for
+# bit). Each workload runs 3 s untraced from a throw-away build directory;
+# the leg fails unless the last line reports "correct": true and
+# "failed": 0.
+echo "==> [perfbench] correctness smoke"
+PERFBENCH_DIR="$(mktemp -d)"
+trap 'rm -rf "$PERFBENCH_DIR"' EXIT
+for workload in serve-tpcd drift-recluster advise-cold; do
+  (cd "$ROOT" && CARGO_TARGET_DIR="$PERFBENCH_DIR" python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0) \
+    > "$PERFBENCH_DIR/$workload.out"
+  python3 - "$workload" "$PERFBENCH_DIR/$workload.out" <<'EOF'
+import json, sys
+workload, out = sys.argv[1], sys.argv[2]
+d = json.loads(open(out).read().rstrip("\n").split("\n")[-1])
+assert d["correct"] is True, workload + ": perfbench reported incorrect"
+assert d["failed"] == 0, "%s: %d failed operations" % (workload, d["failed"])
+print("perfbench %s ok: %d operations" % (workload, d["attempted"]))
+EOF
+done
+
 # Incremental-advise guard: after a 10% drift the warm re-advise must cost
 # >= 5x fewer class-cost evaluations than the cold one and recommend
 # bit-identically to a fresh Advise; the cold incremental advise fills an
